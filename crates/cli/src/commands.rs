@@ -221,10 +221,6 @@ pub fn index(opts: &Opts) -> Result<(), String> {
     let config = v2v_serve::HnswConfig {
         m: opts.get("m", 16usize)?,
         ef_construction: opts.get("ef-construction", 200usize)?,
-        // Must match the serving config: the shard count is folded into
-        // the snapshot fingerprint, so an off-by-one here costs a rebuild
-        // at startup, never a wrong answer.
-        shards: opt_env(opts, "index-shards", "V2V_INDEX_SHARDS", 1usize)?,
         ..Default::default()
     };
     let dims = store.dims();
@@ -297,13 +293,6 @@ fn write_embedding_file(emb: &v2v_embed::Embedding, output: &str) -> Result<(), 
     .map_err(|e| format!("cannot write {output}: {e}"))
 }
 
-/// Loads `--embedding`, sniffing the `V2VE` magic so both the binary and
-/// the text format work regardless of file extension.
-fn load_embedding(opts: &Opts) -> Result<v2v_embed::Embedding, String> {
-    let path = opts.require("embedding")?;
-    load_embedding_path(path)
-}
-
 /// Streams `fill` into `--output` atomically (old-or-new on crash), or
 /// into stdout when no output path was given.
 fn write_output(
@@ -313,14 +302,28 @@ fn write_output(
     match opts.get_str("output") {
         Some(path) => v2v_core::io::write_atomic_with(path, fill)
             .map_err(|e| format!("cannot write {path}: {e}")),
-        None => {
-            let mut out = std::io::stdout().lock();
-            fill(&mut out).map_err(|e| e.to_string())
-        }
+        None => write_stdout(fill),
     }
 }
 
+/// Streams `fill` into stdout; a reader that went away (`| head`) is an
+/// error for `main` to report, not a `println!` panic.
+fn write_stdout(fill: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    fill(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write to stdout: {e}"))
+}
+
+/// Loads any embedding artifact — text, V2VE v1 binary, or a V2VE v2
+/// store — sniffing the magic so the file extension does not matter.
 fn load_embedding_path(path: &str) -> Result<v2v_embed::Embedding, String> {
+    if is_store_file(path) {
+        let store = v2v_store::EmbeddingStore::open(path)
+            .map_err(|e| format!("cannot open store {path}: {e}"))?;
+        let payload = store.payload().map_err(|e| format!("{path}: {e}"))?.to_vec();
+        return Ok(v2v_embed::Embedding::from_flat(store.dims(), payload));
+    }
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut reader = BufReader::new(file);
     let head = reader.fill_buf().map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -349,20 +352,6 @@ fn opt_env<T: std::str::FromStr>(
     Ok(default)
 }
 
-/// Loads any embedding artifact — text, v1 binary, or a `.v2s` store —
-/// as `(dims, row-major flat payload)` for offline analysis.
-fn load_flat_vectors(path: &str) -> Result<(usize, Vec<f32>), String> {
-    if is_store_file(path) {
-        let store = v2v_store::EmbeddingStore::open(path)
-            .map_err(|e| format!("cannot open store {path}: {e}"))?;
-        let payload = store.payload().map_err(|e| format!("{path}: {e}"))?.to_vec();
-        Ok((store.dims(), payload))
-    } else {
-        let embedding = load_embedding_path(path)?;
-        Ok((embedding.dimensions(), embedding.as_flat().to_vec()))
-    }
-}
-
 /// `v2v drift`: offline diff of two embeddings / `.v2s` stores — the same
 /// canary sampling, neighbor churn, and drift statistics the online
 /// quality sentinel computes, so "what changed between yesterday's store
@@ -372,8 +361,9 @@ fn load_flat_vectors(path: &str) -> Result<(usize, Vec<f32>), String> {
 pub fn drift(opts: &Opts) -> Result<(), String> {
     let a_path = opts.require("a")?;
     let b_path = opts.require("b")?;
-    let (dims_a, a) = load_flat_vectors(a_path)?;
-    let (dims_b, b) = load_flat_vectors(b_path)?;
+    let a = load_embedding_path(a_path)?;
+    let b = load_embedding_path(b_path)?;
+    let (dims_a, dims_b) = (a.dimensions(), b.dimensions());
     if dims_a != dims_b {
         return Err(format!(
             "dimensionality mismatch: {a_path} has {dims_a} dims, {b_path} has {dims_b}"
@@ -391,17 +381,24 @@ pub fn drift(opts: &Opts) -> Result<(), String> {
             defaults.churn_threshold,
         )?,
     };
-    let report = v2v_obs::quality::DriftReport::compute(dims_a, &a, &b, &config)?;
+    let report =
+        v2v_obs::quality::DriftReport::compute(dims_a, a.as_flat(), b.as_flat(), &config)?;
     let json = report.to_json();
-    match opts.get_str("format").unwrap_or("both") {
-        "table" => print!("{}", report.render_table()),
-        "json" => println!("{json}"),
-        "both" => {
-            print!("{}", report.render_table());
-            println!("{json}");
-        }
+    let (table, with_json) = match opts.get_str("format").unwrap_or("both") {
+        "table" => (true, false),
+        "json" => (false, true),
+        "both" => (true, true),
         other => return Err(format!("unknown --format {other:?} (table|json|both)")),
-    }
+    };
+    write_stdout(|out| {
+        if table {
+            out.write_all(report.render_table().as_bytes())?;
+        }
+        if with_json {
+            writeln!(out, "{json}")?;
+        }
+        Ok(())
+    })?;
     if let Some(out) = opts.get_str("output") {
         std::fs::write(out, format!("{json}\n")).map_err(|e| format!("cannot write {out}: {e}"))?;
         obs_info!("wrote drift report to {out}");
@@ -435,7 +432,7 @@ fn is_store_file(path: &str) -> bool {
 
 /// `v2v communities`: embedding file → one `vertex community` line each.
 pub fn communities(opts: &Opts) -> Result<(), String> {
-    let embedding = load_embedding(opts)?;
+    let embedding = load_embedding_path(opts.require("embedding")?)?;
     let k = opts.get("k", 0usize)?;
     if k < 1 {
         return Err("--k is required and must be >= 1".into());
@@ -499,7 +496,7 @@ fn read_labels(path: &str, n: usize) -> Result<(Vec<Option<usize>>, Vec<usize>),
 
 /// `v2v predict`: k-NN label prediction for `?`-marked vertices.
 pub fn predict(opts: &Opts) -> Result<(), String> {
-    let embedding = load_embedding(opts)?;
+    let embedding = load_embedding_path(opts.require("embedding")?)?;
     let labels_path = opts.require("labels")?;
     let k = opts.get("k", 3usize)?;
     let (known, targets) = read_labels(labels_path, embedding.len())?;
@@ -571,16 +568,8 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     let rebuild_index = opts.flag("rebuild-index");
     let config = v2v_serve::HnswConfig {
         ef_search: opts.get("ef-search", 64usize)?,
-        quantize: v2v_serve::QuantMode::parse(&opt_env(
-            opts,
-            "quantize",
-            "V2V_QUANTIZE",
-            "off".to_string(),
-        )?)?,
-        shards: opt_env(opts, "index-shards", "V2V_INDEX_SHARDS", 1usize)?,
         ..Default::default()
     };
-    v2v_serve::set_batch_max(opt_env(opts, "batch-max", "V2V_BATCH_MAX", 64usize)?.max(1));
     // The reloader re-reads the same paths the server booted from, so a
     // retrain + atomic rename + `kill -HUP` rolls new vectors out live.
     let build: v2v_serve::Reloader = Box::new(move || {
@@ -604,12 +593,10 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     });
     let initial = build()?;
     obs_info!(
-        "indexed {} vectors x {} dims (ef_search = {}, quantize {}, {} shard(s), index {}, backing {}) in {:.2?}{}",
+        "indexed {} vectors x {} dims (ef_search = {}, index {}, backing {}) in {:.2?}{}",
         initial.vectors().len(),
         initial.vectors().dimensions(),
         initial.index().config().ef_search,
-        initial.index().config().quantize.name(),
-        initial.index().shard_count(),
         initial.index_source(),
         initial.vectors().source(),
         initial.index().build_time(),
@@ -928,7 +915,7 @@ fn install_flight_panic_hook() {
 
 /// `v2v project`: PCA projection to CSV (and optional SVG scatter).
 pub fn project(opts: &Opts) -> Result<(), String> {
-    let embedding = load_embedding(opts)?;
+    let embedding = load_embedding_path(opts.require("embedding")?)?;
     let dims = opts.get("dims", 2usize)?;
     if dims < 1 || dims > embedding.dimensions() {
         return Err(format!("--dims must be in 1..={}", embedding.dimensions()));
@@ -980,7 +967,7 @@ pub fn project(opts: &Opts) -> Result<(), String> {
 /// similarity margin).
 pub fn quality(opts: &Opts) -> Result<(), String> {
     let graph = load_graph(opts)?;
-    let embedding = load_embedding(opts)?;
+    let embedding = load_embedding_path(opts.require("embedding")?)?;
     if embedding.len() != graph.num_vertices() {
         return Err(format!(
             "embedding has {} vectors but the graph has {} vertices",
@@ -1041,6 +1028,14 @@ mod tests {
 
     fn opts(args: &[&str]) -> Opts {
         Opts::parse(args.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    /// Two 3-vector clusters on the x axis.
+    fn two_cluster_embedding() -> v2v_embed::Embedding {
+        v2v_embed::Embedding::from_flat(
+            2,
+            vec![1.0, 0.0, 1.0, 0.1, 0.9, -0.1, -1.0, 0.0, -1.0, 0.1, -0.9, -0.1],
+        )
     }
 
     fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
@@ -1147,37 +1142,72 @@ mod tests {
     }
 
     #[test]
-    fn embedding_file_format_follows_extension_and_load_sniffs_both() {
-        let emb = v2v_embed::Embedding::from_flat(
-            2,
-            vec![1.0, 0.0, 1.0, 0.1, 0.9, -0.1, -1.0, 0.0, -1.0, 0.1, -0.9, -0.1],
-        );
+    fn embedding_file_format_follows_extension_and_load_sniffs_all_three() {
+        let emb = two_cluster_embedding();
         let dir = std::env::temp_dir();
         let bin = dir.join(format!("v2v_cli_fmt_{}.bin", std::process::id()));
         let txt = dir.join(format!("v2v_cli_fmt_{}.txt", std::process::id()));
-        write_embedding_file(&emb, bin.to_str().unwrap()).unwrap();
-        write_embedding_file(&emb, txt.to_str().unwrap()).unwrap();
+        let v2s = dir.join(format!("v2v_cli_fmt_{}.v2s", std::process::id()));
+        for path in [&bin, &txt, &v2s] {
+            write_embedding_file(&emb, path.to_str().unwrap()).unwrap();
+        }
 
         let bin_bytes = std::fs::read(&bin).unwrap();
         assert!(v2v_embed::binary::is_binary_header(&bin_bytes));
         assert!(std::fs::read_to_string(&txt).unwrap().starts_with("6 2"));
 
-        for path in [&bin, &txt] {
+        // Every subcommand loads through this one function, so each
+        // format must come back as the same vectors, bit for bit.
+        for path in [&bin, &txt, &v2s] {
             let loaded = load_embedding_path(path.to_str().unwrap()).unwrap();
-            assert_eq!(loaded.len(), 6);
             assert_eq!(loaded.dimensions(), 2);
+            assert_eq!(loaded.as_flat(), emb.as_flat(), "{}", path.display());
         }
-        // Binary survives the trip bit-exactly.
-        let loaded = load_embedding_path(bin.to_str().unwrap()).unwrap();
-        assert_eq!(loaded.vector(v2v_graph::VertexId(0)), emb.vector(v2v_graph::VertexId(0)));
+    }
+
+    /// `communities` and `predict` answer identically whichever of the
+    /// three formats holds the vectors (`.v2s` used to be refused with
+    /// "unsupported format version 2").
+    #[test]
+    fn communities_and_predict_agree_across_text_binary_and_store() {
+        let emb = two_cluster_embedding();
+        let dir = std::env::temp_dir();
+        let labels = write_temp("fmt_labels", "0 0\n1 0\n2 ?\n3 1\n4 1\n5 ?\n");
+        let mut outputs = Vec::new();
+        for ext in ["txt", "bin", "v2s"] {
+            let emb_path = dir.join(format!("v2v_cli_xfmt_{}.{ext}", std::process::id()));
+            write_embedding_file(&emb, emb_path.to_str().unwrap()).unwrap();
+            let comm = dir.join(format!("v2v_cli_xfmt_comm_{}_{ext}", std::process::id()));
+            communities(&opts(&[
+                "communities",
+                "--embedding", emb_path.to_str().unwrap(),
+                "--k", "2",
+                "--restarts", "5",
+                "--output", comm.to_str().unwrap(),
+            ]))
+            .unwrap();
+            let pred = dir.join(format!("v2v_cli_xfmt_pred_{}_{ext}", std::process::id()));
+            predict(&opts(&[
+                "predict",
+                "--embedding", emb_path.to_str().unwrap(),
+                "--labels", labels.to_str().unwrap(),
+                "--k", "2",
+                "--output", pred.to_str().unwrap(),
+            ]))
+            .unwrap();
+            outputs.push((
+                std::fs::read_to_string(&comm).unwrap(),
+                std::fs::read_to_string(&pred).unwrap(),
+            ));
+        }
+        assert_eq!(outputs[0].1, "2 0\n5 1\n");
+        assert_eq!(outputs[0], outputs[1], "text vs .bin");
+        assert_eq!(outputs[0], outputs[2], "text vs .v2s");
     }
 
     #[test]
     fn predict_ann_agrees_with_exact_scan() {
-        let emb = v2v_embed::Embedding::from_flat(
-            2,
-            vec![1.0, 0.0, 1.0, 0.1, 0.9, -0.1, -1.0, 0.0, -1.0, 0.1, -0.9, -0.1],
-        );
+        let emb = two_cluster_embedding();
         let dir = std::env::temp_dir();
         let emb_path = dir.join(format!("v2v_cli_ann_{}.bin", std::process::id()));
         write_embedding_file(&emb, emb_path.to_str().unwrap()).unwrap();

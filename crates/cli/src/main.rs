@@ -23,12 +23,9 @@
 //!                 disk; `v2v embed --corpus walks_dir/` then trains out of core,
 //!                 bit-identical to in-RAM training at --threads 1)
 //! v2v index       --store emb.v2s [--m 16] [--ef-construction 200]
-//!                 [--index-shards 1]
 //!                 (build the HNSW graph once and persist its snapshot into the
 //!                 store's index section, fingerprinted against the payload;
-//!                 `v2v serve` then loads it instead of rebuilding — with the
-//!                 same --index-shards, since the shard count is part of the
-//!                 fingerprint)
+//!                 `v2v serve` then loads it instead of rebuilding)
 //! v2v profile     --input prof.json [--format table|json]
 //!                 (render a flat profile written by `v2v embed --profile` as an
 //!                 aligned table, or normalized JSON for scripts)
@@ -40,17 +37,13 @@
 //! v2v serve       --embedding emb.txt [--labels labels.txt] [--port 7878]
 //!                 [--ef-search 64] [--threads 0] [--request-deadline-secs 10]
 //!                 [--max-queue 1024] [--max-body 1048576] [--rebuild-index]
-//!                 [--keep-alive 1024] [--batch-max 64] [--quantize off|int8|f16]
-//!                 [--index-shards 1]
+//!                 [--keep-alive 1024]
 //!                 (HTTP JSON endpoints: /neighbors?v=&k=  /similarity?a=&b=
 //!                 /predict?v=&k= (or POST {"vector":[...],"k":n})  POST /batch
 //!                 {"queries":[{"op":"neighbors",...},...]}  /healthz  /metricz;
 //!                 connections are HTTP/1.1 keep-alive with pipelining —
 //!                 --keep-alive caps requests per connection (0 = close after
-//!                 each); --batch-max caps queries per POST /batch; --quantize
-//!                 scores HNSW candidates in int8/f16 with an exact f32 re-rank
-//!                 of the final beam; --index-shards searches S vertex-range
-//!                 sub-indexes in parallel and merges;
+//!                 each); POST /batch takes up to 64 queries;
 //!                 --embedding may be text, binary, or a `.v2s` store — stores
 //!                 are mmap-ed and served with their persisted HNSW snapshot for
 //!                 millisecond cold starts (--rebuild-index forces a rebuild);
@@ -126,26 +119,17 @@ million-vertex serving (the v2v-store path):
                         start in milliseconds (serve.cold_start_ms gauge;
                         --rebuild-index ignores the snapshot)
 
-serving fast path (keep-alive, batching, quantized + sharded search):
-  v2v serve ... [--keep-alive 1024] [--batch-max 64]
-                [--quantize off|int8|f16] [--index-shards 1]
+serving fast path (keep-alive, batching):
+  v2v serve ... [--keep-alive 1024]
                         connections are HTTP/1.1 keep-alive with pipelining:
                         --keep-alive caps requests served per connection
                         before a forced close (0 restores one request per
                         connection; serve.conn.reused / serve.conn.opened on
-                        /metricz); POST /batch answers up to --batch-max
+                        /metricz); POST /batch answers up to 64
                         heterogeneous queries ({\"queries\":[{\"op\":\"neighbors\",
                         \"v\":0,\"k\":5},...]}) in one response, each slot
-                        byte-identical to its single-endpoint body;
-                        --quantize int8|f16 scores HNSW traversal candidates
-                        from compact codes (4x/2x less memory traffic) and
-                        re-ranks the final beam with exact f32 distances —
-                        recall@10 stays >= 0.98, returned distances stay
-                        exact (serve.quantize.* gauges); --index-shards S
-                        splits the vertex space into S sub-indexes searched
-                        in parallel and merged (multi-core tail-latency
-                        lever; the count is folded into the snapshot
-                        fingerprint, so pass the same value to `v2v index`)
+                        byte-identical to its single-endpoint body (a larger
+                        batch is a 400, counted in serve.batch.rejected)
 
 environment:
   V2V_LOG               stderr log level: off, error, info (default), debug, trace
@@ -176,12 +160,6 @@ environment:
                         (flag --quality-off)
   V2V_KEEP_ALIVE        serve: requests served per connection before a forced
                         close (default 1024, 0 disables reuse; flag --keep-alive)
-  V2V_BATCH_MAX         serve: max queries accepted per POST /batch request
-                        (default 64; flag --batch-max)
-  V2V_QUANTIZE          serve: HNSW candidate-scoring mode, off|int8|f16
-                        (default off; flag --quantize)
-  V2V_INDEX_SHARDS      serve/index: parallel sub-indexes over the vertex space
-                        (default 1; flag --index-shards)
 
 dynamic graphs (durable streaming ingest):
   v2v serve --embedding emb.txt --wal-dir wal/   accept POST /ingest edge

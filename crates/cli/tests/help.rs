@@ -123,27 +123,20 @@ fn help_documents_quality_surface() {
     }
 }
 
-/// The serving fast-path surface: keep-alive connection reuse, the
-/// `/batch` endpoint, quantized candidate scoring, and sharded parallel
-/// search — the four knobs and their env fallbacks must be discoverable
-/// from `v2v help`.
+/// The serving fast-path surface: keep-alive connection reuse (the one
+/// knob, with its env fallback) and the `/batch` endpoint with its fixed
+/// cap must be discoverable from `v2v help`.
 #[test]
 fn help_documents_serving_fast_path() {
     let help = help_output();
     for needle in [
         "--keep-alive",
-        "--batch-max",
-        "--quantize",
-        "--index-shards",
         "V2V_KEEP_ALIVE",
-        "V2V_BATCH_MAX",
-        "V2V_QUANTIZE",
-        "V2V_INDEX_SHARDS",
         "/batch",
-        "off|int8|f16",
+        "up to 64",
         "pipelining",
         "serve.conn.reused",
-        "serve.quantize.",
+        "serve.batch.rejected",
     ] {
         assert!(help.contains(needle), "v2v help must mention {needle}\n---\n{help}");
     }

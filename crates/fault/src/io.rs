@@ -114,6 +114,13 @@ mod tests {
     use super::*;
     use crate::inject::{arm, disarm, FaultPlan};
 
+    /// Fault points are process-global: a test that arms `atomic.*` must
+    /// not overlap one that expects an undisturbed write.
+    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("v2v_fault_io_{}_{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -122,6 +129,7 @@ mod tests {
 
     #[test]
     fn writes_and_replaces() {
+        let _guard = fault_lock();
         let dir = scratch("basic");
         let path = dir.join("a.txt");
         write_atomic(&path, b"one").unwrap();
@@ -133,6 +141,7 @@ mod tests {
 
     #[test]
     fn streaming_fill() {
+        let _guard = fault_lock();
         let dir = scratch("fill");
         let path = dir.join("b.txt");
         write_atomic_with(&path, |w| {
@@ -148,6 +157,7 @@ mod tests {
 
     #[test]
     fn fill_error_leaves_old_content_and_no_temp() {
+        let _guard = fault_lock();
         let dir = scratch("err");
         let path = dir.join("c.txt");
         write_atomic(&path, b"intact").unwrap();
@@ -165,6 +175,7 @@ mod tests {
 
     #[test]
     fn injected_short_write_never_tears_destination() {
+        let _guard = fault_lock();
         let dir = scratch("short");
         let path = dir.join("d.bin");
         write_atomic(&path, b"original-content").unwrap();
@@ -183,6 +194,7 @@ mod tests {
 
     #[test]
     fn injected_rename_failure_leaves_old_content() {
+        let _guard = fault_lock();
         let dir = scratch("rename");
         let path = dir.join("e.bin");
         write_atomic(&path, b"old").unwrap();

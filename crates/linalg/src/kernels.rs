@@ -244,367 +244,6 @@ pub fn cosine_prenormed_on(bk: Backend, a: &[f32], b: &[f32]) -> f32 {
     dot_on(bk, a, b).clamp(-1.0, 1.0)
 }
 
-// ------------------------------------------------------ quantized kernels
-//
-// Int8 symmetric quantization and IEEE binary16 ("f16") storage for ANN
-// candidate scoring: the HNSW beam spends its time streaming candidate
-// vectors from memory, so shrinking each element from 4 bytes to 1 (or 2)
-// trades a little per-element precision for a 4x (2x) cut in memory
-// traffic — and int8 additionally moves the multiply-accumulate onto the
-// integer SIMD units (`vpmaddwd` under AVX2). Rankings from these kernels
-// are approximate; callers re-rank their final candidates with the exact
-// `f32` kernels above.
-
-/// Largest magnitude an int8 code takes. ±127 (not -128) keeps the code
-/// range symmetric, so negating a vector negates its codes exactly.
-pub const I8_QUANT_MAX: f32 = 127.0;
-
-/// Symmetric per-vector quantization scale: `max |v_i| / 127`. Returns 0
-/// for empty, all-zero, or non-finite input — [`quantize_i8`] then maps
-/// every element to code 0.
-pub fn i8_scale(v: &[f32]) -> f32 {
-    let m = v.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-    if m.is_finite() {
-        m / I8_QUANT_MAX
-    } else {
-        0.0
-    }
-}
-
-/// Quantizes `v` into `out` with `scale` (codes round to nearest and clamp
-/// to ±127). A `scale <= 0` (or NaN) maps everything to 0; NaN elements
-/// also map to 0. Reuses `out`'s allocation.
-pub fn quantize_i8(v: &[f32], scale: f32, out: &mut Vec<i8>) {
-    out.clear();
-    // `partial_cmp` keeps the NaN-scale case on the zero path explicitly.
-    if scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        out.resize(v.len(), 0);
-        return;
-    }
-    let inv = 1.0 / scale;
-    out.extend(v.iter().map(|&x| {
-        // NaN fails both clamp comparisons and casts to 0.
-        (x * inv).round().clamp(-I8_QUANT_MAX, I8_QUANT_MAX) as i8
-    }));
-}
-
-/// Integer dot product of two int8 code vectors. The dequantized dot is
-/// `scale_a * scale_b * dot_i8(a, b)` — per-vector scales factor out of a
-/// dot product, which is why the cosine path can quantize each vector
-/// independently.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_on(backend(), a, b)
-}
-
-/// [`dot_i8`] on an explicit backend.
-///
-/// # Panics
-/// Panics if the lengths differ or `bk` is unavailable on this CPU.
-#[inline]
-pub fn dot_i8_on(bk: Backend, a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "dot_i8: length mismatch");
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => {
-            assert!(bk.is_available(), "avx2fma backend unavailable on this CPU");
-            // SAFETY: AVX2 presence asserted; slices are equal-length.
-            unsafe { avx2::dot_i8(a, b) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2Fma => panic!("avx2fma backend unavailable on this CPU"),
-        Backend::Unrolled => dot_i8_unrolled(a, b),
-        Backend::Scalar => dot_i8_scalar(a, b),
-    }
-}
-
-/// Integer squared-L2 of two int8 code vectors quantized with a *shared*
-/// scale `s`: the dequantized distance is `s * s * squared_l2_i8(a, b)`.
-/// (Per-vector scales do not factor out of a difference, so the Euclidean
-/// path quantizes the whole corpus — and each query — with one scale.)
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn squared_l2_i8(a: &[i8], b: &[i8]) -> i32 {
-    squared_l2_i8_on(backend(), a, b)
-}
-
-/// [`squared_l2_i8`] on an explicit backend.
-///
-/// # Panics
-/// Panics if the lengths differ or `bk` is unavailable on this CPU.
-#[inline]
-pub fn squared_l2_i8_on(bk: Backend, a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "squared_l2_i8: length mismatch");
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => {
-            assert!(bk.is_available(), "avx2fma backend unavailable on this CPU");
-            // SAFETY: AVX2 presence asserted; slices are equal-length.
-            unsafe { avx2::squared_l2_i8(a, b) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2Fma => panic!("avx2fma backend unavailable on this CPU"),
-        Backend::Unrolled => squared_l2_i8_unrolled(a, b),
-        Backend::Scalar => squared_l2_i8_scalar(a, b),
-    }
-}
-
-#[inline]
-fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
-    let mut acc = 0i32;
-    for (x, y) in a.iter().zip(b) {
-        acc += *x as i32 * *y as i32;
-    }
-    acc
-}
-
-#[inline]
-fn squared_l2_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
-    let mut acc = 0i32;
-    for (x, y) in a.iter().zip(b) {
-        let d = *x as i32 - *y as i32;
-        acc += d * d;
-    }
-    acc
-}
-
-#[inline]
-fn dot_i8_unrolled(a: &[i8], b: &[i8]) -> i32 {
-    let mut acc = [0i32; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        acc[0] += x[0] as i32 * y[0] as i32;
-        acc[1] += x[1] as i32 * y[1] as i32;
-        acc[2] += x[2] as i32 * y[2] as i32;
-        acc[3] += x[3] as i32 * y[3] as i32;
-    }
-    let mut tail = 0i32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += *x as i32 * *y as i32;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-#[inline]
-fn squared_l2_i8_unrolled(a: &[i8], b: &[i8]) -> i32 {
-    let mut acc = [0i32; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        let d0 = x[0] as i32 - y[0] as i32;
-        let d1 = x[1] as i32 - y[1] as i32;
-        let d2 = x[2] as i32 - y[2] as i32;
-        let d3 = x[3] as i32 - y[3] as i32;
-        acc[0] += d0 * d0;
-        acc[1] += d1 * d1;
-        acc[2] += d2 * d2;
-        acc[3] += d3 * d3;
-    }
-    let mut tail = 0i32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        let d = *x as i32 - *y as i32;
-        tail += d * d;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// `f32` → IEEE binary16 bits, round-to-nearest-even. Overflow maps to
-/// ±inf, NaN stays NaN, and magnitudes below half the smallest binary16
-/// subnormal flush to signed zero.
-pub fn f16_from_f32(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
-    if exp == 255 {
-        // Inf / NaN; keep a payload bit so NaN survives the round trip.
-        return sign | 0x7C00 | u16::from(man != 0) << 9;
-    }
-    let e = exp - 127 + 15;
-    if e >= 31 {
-        return sign | 0x7C00; // overflow -> inf
-    }
-    if e <= 0 {
-        if e < -10 {
-            return sign; // below half the smallest subnormal
-        }
-        // Subnormal: make the implicit bit explicit, shift into 10 bits.
-        let man = man | 0x0080_0000;
-        let shift = (14 - e) as u32;
-        let halfway = 1u32 << (shift - 1);
-        let rest = man & ((1u32 << shift) - 1);
-        let mut m = man >> shift;
-        if rest > halfway || (rest == halfway && m & 1 == 1) {
-            m += 1; // a carry here lands on the smallest normal, correctly
-        }
-        return sign | m as u16;
-    }
-    let m = man >> 13;
-    let rest = man & 0x1FFF;
-    let mut h = sign | ((e as u16) << 10) | m as u16;
-    if rest > 0x1000 || (rest == 0x1000 && m & 1 == 1) {
-        h = h.wrapping_add(1); // mantissa carry rolls into the exponent
-    }
-    h
-}
-
-/// IEEE binary16 bits → `f32` (exact: every binary16 value is an `f32`).
-pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = u32::from(h & 0x8000) << 16;
-    let exp = u32::from(h >> 10) & 0x1F;
-    let man = u32::from(h & 0x03FF);
-    let bits = match (exp, man) {
-        (0, 0) => sign,
-        // Subnormal: value is man * 2^-24; go through the float unit.
-        (0, m) => {
-            let v = m as f32 * (1.0 / 16_777_216.0);
-            return if sign != 0 { -v } else { v };
-        }
-        (0x1F, 0) => sign | 0x7F80_0000,
-        (0x1F, m) => sign | 0x7FC0_0000 | (m << 13),
-        (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
-    };
-    f32::from_bits(bits)
-}
-
-/// Dot product of two binary16 vectors, accumulated in `f32`.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn dot_f16(a: &[u16], b: &[u16]) -> f32 {
-    dot_f16_on(backend(), a, b)
-}
-
-/// [`dot_f16`] on an explicit backend. The AVX2 path needs the F16C
-/// converter (`vcvtph2ps`); on the rare AVX2-without-F16C CPU it falls
-/// back to the unrolled software conversion.
-///
-/// # Panics
-/// Panics if the lengths differ or `bk` is unavailable on this CPU.
-#[inline]
-pub fn dot_f16_on(bk: Backend, a: &[u16], b: &[u16]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot_f16: length mismatch");
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => {
-            assert!(bk.is_available(), "avx2fma backend unavailable on this CPU");
-            if is_x86_feature_detected!("f16c") {
-                // SAFETY: AVX2+FMA+F16C presence checked; equal lengths.
-                unsafe { avx2::dot_f16(a, b) }
-            } else {
-                dot_f16_unrolled(a, b)
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2Fma => panic!("avx2fma backend unavailable on this CPU"),
-        Backend::Unrolled => dot_f16_unrolled(a, b),
-        Backend::Scalar => dot_f16_scalar(a, b),
-    }
-}
-
-/// Squared Euclidean distance of two binary16 vectors, accumulated in
-/// `f32`.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn squared_l2_f16(a: &[u16], b: &[u16]) -> f32 {
-    squared_l2_f16_on(backend(), a, b)
-}
-
-/// [`squared_l2_f16`] on an explicit backend (see [`dot_f16_on`] for the
-/// F16C note).
-///
-/// # Panics
-/// Panics if the lengths differ or `bk` is unavailable on this CPU.
-#[inline]
-pub fn squared_l2_f16_on(bk: Backend, a: &[u16], b: &[u16]) -> f32 {
-    assert_eq!(a.len(), b.len(), "squared_l2_f16: length mismatch");
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => {
-            assert!(bk.is_available(), "avx2fma backend unavailable on this CPU");
-            if is_x86_feature_detected!("f16c") {
-                // SAFETY: AVX2+FMA+F16C presence checked; equal lengths.
-                unsafe { avx2::squared_l2_f16(a, b) }
-            } else {
-                squared_l2_f16_unrolled(a, b)
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2Fma => panic!("avx2fma backend unavailable on this CPU"),
-        Backend::Unrolled => squared_l2_f16_unrolled(a, b),
-        Backend::Scalar => squared_l2_f16_scalar(a, b),
-    }
-}
-
-#[inline]
-fn dot_f16_scalar(a: &[u16], b: &[u16]) -> f32 {
-    let mut acc = 0.0f32;
-    for (x, y) in a.iter().zip(b) {
-        acc += f16_to_f32(*x) * f16_to_f32(*y);
-    }
-    acc
-}
-
-#[inline]
-fn squared_l2_f16_scalar(a: &[u16], b: &[u16]) -> f32 {
-    let mut acc = 0.0f32;
-    for (x, y) in a.iter().zip(b) {
-        let d = f16_to_f32(*x) - f16_to_f32(*y);
-        acc += d * d;
-    }
-    acc
-}
-
-#[inline]
-fn dot_f16_unrolled(a: &[u16], b: &[u16]) -> f32 {
-    let mut acc = [0.0f32; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        acc[0] = fmadd(f16_to_f32(x[0]), f16_to_f32(y[0]), acc[0]);
-        acc[1] = fmadd(f16_to_f32(x[1]), f16_to_f32(y[1]), acc[1]);
-        acc[2] = fmadd(f16_to_f32(x[2]), f16_to_f32(y[2]), acc[2]);
-        acc[3] = fmadd(f16_to_f32(x[3]), f16_to_f32(y[3]), acc[3]);
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail = fmadd(f16_to_f32(*x), f16_to_f32(*y), tail);
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-#[inline]
-fn squared_l2_f16_unrolled(a: &[u16], b: &[u16]) -> f32 {
-    let mut acc = [0.0f32; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        let d0 = f16_to_f32(x[0]) - f16_to_f32(y[0]);
-        let d1 = f16_to_f32(x[1]) - f16_to_f32(y[1]);
-        let d2 = f16_to_f32(x[2]) - f16_to_f32(y[2]);
-        let d3 = f16_to_f32(x[3]) - f16_to_f32(y[3]);
-        acc[0] = fmadd(d0, d0, acc[0]);
-        acc[1] = fmadd(d1, d1, acc[1]);
-        acc[2] = fmadd(d2, d2, acc[2]);
-        acc[3] = fmadd(d3, d3, acc[3]);
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        let d = f16_to_f32(*x) - f16_to_f32(*y);
-        tail = fmadd(d, d, tail);
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
 // ---------------------------------------------------- compile-time kernels
 
 /// Compile-time kernel selection for hot loops.
@@ -991,152 +630,6 @@ mod avx2 {
         }
     }
 
-    /// Horizontal sum of the 8 i32 lanes of `v`.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_i32(v: __m256i) -> i32 {
-        let lo = _mm256_castsi256_si128(v);
-        let hi = _mm256_extracti128_si256(v, 1);
-        let s = _mm_add_epi32(lo, hi);
-        let s = _mm_add_epi32(s, _mm_srli_si128(s, 8));
-        let s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-        _mm_cvtsi128_si32(s)
-    }
-
-    /// # Safety
-    /// Requires AVX2 and `a.len() == b.len()`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let mut i = 0usize;
-        // SAFETY: each 16-byte load sits at offset `i` or `i + 16` with
-        // `i + 32 <= n`. Sign-extend i8 -> i16, then `vpmaddwd` multiplies
-        // i16 pairs and sums adjacent products into i32 lanes; with codes
-        // clamped to ±127 the products fit i16 * i16 trivially.
-        while i + 32 <= n {
-            let a0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(ap.add(i).cast()));
-            let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp.add(i).cast()));
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(a0, b0));
-            let a1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(ap.add(i + 16).cast()));
-            let b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp.add(i + 16).cast()));
-            acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(a1, b1));
-            i += 32;
-        }
-        // SAFETY: `i + 16 <= n` bounds the 16-byte loads.
-        while i + 16 <= n {
-            let a0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(ap.add(i).cast()));
-            let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp.add(i).cast()));
-            acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(a0, b0));
-            i += 16;
-        }
-        let mut sum = hsum_i32(_mm256_add_epi32(acc0, acc1));
-        while i < n {
-            sum += a[i] as i32 * b[i] as i32;
-            i += 1;
-        }
-        sum
-    }
-
-    /// # Safety
-    /// Requires AVX2 and `a.len() == b.len()`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn squared_l2_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0usize;
-        // SAFETY: `i + 16 <= n` bounds each 16-byte load. Differences of
-        // ±127 codes span ±254, comfortably inside i16 for `vpmaddwd`.
-        while i + 16 <= n {
-            let a0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(ap.add(i).cast()));
-            let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp.add(i).cast()));
-            let d = _mm256_sub_epi16(a0, b0);
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
-            i += 16;
-        }
-        let mut sum = hsum_i32(acc);
-        while i < n {
-            let d = a[i] as i32 - b[i] as i32;
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
-
-    /// # Safety
-    /// Requires AVX2+FMA+F16C and `a.len() == b.len()`.
-    #[inline]
-    #[target_feature(enable = "avx2,fma,f16c")]
-    pub unsafe fn dot_f16(a: &[u16], b: &[u16]) -> f32 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut i = 0usize;
-        // SAFETY: each 16-byte load covers 8 halves at offset `i` or
-        // `i + 8` with `i + 16 <= n`; `vcvtph2ps` widens them to f32.
-        while i + 16 <= n {
-            let a0 = _mm256_cvtph_ps(_mm_loadu_si128(ap.add(i).cast()));
-            let b0 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(i).cast()));
-            acc0 = _mm256_fmadd_ps(a0, b0, acc0);
-            let a1 = _mm256_cvtph_ps(_mm_loadu_si128(ap.add(i + 8).cast()));
-            let b1 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(i + 8).cast()));
-            acc1 = _mm256_fmadd_ps(a1, b1, acc1);
-            i += 16;
-        }
-        // SAFETY: `i + 8 <= n` bounds each 8-half load.
-        while i + 8 <= n {
-            let a0 = _mm256_cvtph_ps(_mm_loadu_si128(ap.add(i).cast()));
-            let b0 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(i).cast()));
-            acc0 = _mm256_fmadd_ps(a0, b0, acc0);
-            i += 8;
-        }
-        let mut sum = hsum(_mm256_add_ps(acc0, acc1));
-        while i < n {
-            sum += super::f16_to_f32(a[i]) * super::f16_to_f32(b[i]);
-            i += 1;
-        }
-        sum
-    }
-
-    /// # Safety
-    /// Requires AVX2+FMA+F16C and `a.len() == b.len()`.
-    #[inline]
-    #[target_feature(enable = "avx2,fma,f16c")]
-    pub unsafe fn squared_l2_f16(a: &[u16], b: &[u16]) -> f32 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0usize;
-        // SAFETY: `i + 8 <= n` bounds each 8-half load.
-        while i + 8 <= n {
-            let a0 = _mm256_cvtph_ps(_mm_loadu_si128(ap.add(i).cast()));
-            let b0 = _mm256_cvtph_ps(_mm_loadu_si128(bp.add(i).cast()));
-            let d = _mm256_sub_ps(a0, b0);
-            acc = _mm256_fmadd_ps(d, d, acc);
-            i += 8;
-        }
-        let mut sum = hsum(acc);
-        while i < n {
-            let d = super::f16_to_f32(a[i]) - super::f16_to_f32(b[i]);
-            sum += d * d;
-            i += 1;
-        }
-        sum
-    }
-
     /// # Safety
     /// Requires AVX2+FMA.
     #[inline]
@@ -1233,95 +726,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn dot_length_mismatch_panics() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn i8_kernels_agree_across_backends_and_match_reference() {
-        // 37 elements exercises the 32-wide, 16-wide, and scalar tails.
-        let a: Vec<i8> = (0..37).map(|i| ((i * 7) % 255 - 127) as i8).collect();
-        let b: Vec<i8> = (0..37).map(|i| (127 - (i * 13) % 255) as i8).collect();
-        let want_dot: i32 = a.iter().zip(&b).map(|(x, y)| *x as i32 * *y as i32).sum();
-        let want_l2: i32 = a
-            .iter()
-            .zip(&b)
-            .map(|(x, y)| (*x as i32 - *y as i32).pow(2))
-            .sum();
-        for bk in Backend::available() {
-            assert_eq!(dot_i8_on(bk, &a, &b), want_dot, "{bk:?} dot_i8");
-            assert_eq!(squared_l2_i8_on(bk, &a, &b), want_l2, "{bk:?} squared_l2_i8");
-            assert_eq!(dot_i8_on(bk, &[], &[]), 0);
-            assert_eq!(squared_l2_i8_on(bk, &[], &[]), 0);
-        }
-    }
-
-    #[test]
-    fn quantize_i8_round_trips_within_half_a_step() {
-        let v: Vec<f32> = (0..50).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
-        let scale = i8_scale(&v);
-        assert!(scale > 0.0);
-        let mut codes = Vec::new();
-        quantize_i8(&v, scale, &mut codes);
-        for (x, q) in v.iter().zip(&codes) {
-            let back = *q as f32 * scale;
-            assert!(
-                (x - back).abs() <= scale * 0.5 + 1e-6,
-                "x={x} dequantized to {back} with scale {scale}"
-            );
-        }
-        // Degenerate inputs quantize to silence, not garbage.
-        assert_eq!(i8_scale(&[]), 0.0);
-        assert_eq!(i8_scale(&[0.0, 0.0]), 0.0);
-        assert_eq!(i8_scale(&[f32::INFINITY]), 0.0);
-        quantize_i8(&[1.0, f32::NAN], 0.0, &mut codes);
-        assert_eq!(codes, vec![0, 0]);
-        quantize_i8(&[1.0, f32::NAN, -9.0], 0.5, &mut codes);
-        assert_eq!(codes, vec![2, 0, -18]);
-    }
-
-    #[test]
-    fn f16_conversion_round_trips_and_rounds_to_nearest() {
-        // Exactly representable values survive the round trip bit-perfectly.
-        for x in [0.0f32, -0.0, 1.0, -1.0, 0.5, 1024.0, 65504.0, -65504.0] {
-            assert_eq!(f16_to_f32(f16_from_f32(x)), x, "{x}");
-        }
-        assert_eq!(f16_to_f32(f16_from_f32(f32::INFINITY)), f32::INFINITY);
-        assert_eq!(f16_to_f32(f16_from_f32(f32::NEG_INFINITY)), f32::NEG_INFINITY);
-        assert!(f16_to_f32(f16_from_f32(f32::NAN)).is_nan());
-        // Overflow saturates to inf; tiny magnitudes flush to zero.
-        assert_eq!(f16_to_f32(f16_from_f32(1e6)), f32::INFINITY);
-        assert_eq!(f16_to_f32(f16_from_f32(-1e-10)), -0.0);
-        // The smallest subnormal (2^-24) survives.
-        let tiny = 2.0f32.powi(-24);
-        assert_eq!(f16_to_f32(f16_from_f32(tiny)), tiny);
-        // Round-to-nearest: binary16 has 10 mantissa bits, so the
-        // relative error is at most 2^-11.
-        for i in 1..200 {
-            let x = ((i as f32 * 0.731).sin() + 1.5) * 10f32.powi(i % 9 - 4);
-            let back = f16_to_f32(f16_from_f32(x));
-            assert!(
-                (x - back).abs() <= x.abs() * 2.0f32.powi(-11) + 1e-24,
-                "x={x} round-tripped to {back}"
-            );
-        }
-    }
-
-    #[test]
-    fn f16_kernels_agree_across_backends() {
-        let a: Vec<f32> = (0..37).map(|i| (i as f32 * 0.25) - 4.0).collect();
-        let b: Vec<f32> = (0..37).map(|i| 2.0 - (i as f32 * 0.125)).collect();
-        let ha: Vec<u16> = a.iter().map(|&x| f16_from_f32(x)).collect();
-        let hb: Vec<u16> = b.iter().map(|&x| f16_from_f32(x)).collect();
-        let want_dot: f32 = dot_f16_on(Backend::Scalar, &ha, &hb);
-        let want_l2: f32 = squared_l2_f16_on(Backend::Scalar, &ha, &hb);
-        for bk in Backend::available() {
-            let d = dot_f16_on(bk, &ha, &hb);
-            assert!((d - want_dot).abs() < 1e-2, "{bk:?} dot_f16 {d} vs {want_dot}");
-            let l = squared_l2_f16_on(bk, &ha, &hb);
-            assert!((l - want_l2).abs() < 1e-2, "{bk:?} l2_f16 {l} vs {want_l2}");
-            assert_eq!(dot_f16_on(bk, &[], &[]), 0.0);
-        }
-        // And the halves track the f32 truth within binary16 precision.
-        let exact = dot(&a, &b);
-        assert!((want_dot - exact).abs() < 0.5, "f16 dot {want_dot} vs f32 {exact}");
     }
 }

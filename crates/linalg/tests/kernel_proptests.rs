@@ -9,12 +9,6 @@
 //! (32/64/128). The compile-time [`Kernels`] trait impls are exercised
 //! against the same reference so the trainer's inlined hot path and the
 //! dispatched public API can never drift apart.
-//!
-//! The quantized kernel layer (int8 symmetric, IEEE binary16) gets its
-//! own properties: reconstructed distances stay within the per-step
-//! error budget the serving layer's recall contract relies on, the f16
-//! round trip is tight / idempotent / order-preserving, and the integer
-//! int8 kernels agree bit-exactly across every available backend.
 
 use proptest::prelude::*;
 use v2v_linalg::kernels::{
@@ -147,122 +141,6 @@ proptest! {
             unsafe { Avx2FmaKernels::axpy(0.5, &a, &mut y3) };
             kernels::axpy_on(Backend::Avx2Fma, 0.5, &a, &mut y4);
             prop_assert_eq!(y3, y4);
-        }
-    }
-}
-
-proptest! {
-    /// Int8-reconstructed distances stay within the quantization-step
-    /// error budget on every dim the index serves, and the integer
-    /// kernels agree bit-exactly across backends. The dot uses
-    /// per-vector scales (the cosine path: scales factor out); the
-    /// squared L2 uses one shared scale (the Euclidean path:
-    /// differences only stay on-grid when both sides share a grid).
-    #[test]
-    fn i8_quantized_distances_stay_within_step_bounds(d in 1usize..=128, seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a: Vec<f32> = (0..d).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
-        let b: Vec<f32> = (0..d).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
-        let (sa, sb) = (kernels::i8_scale(&a), kernels::i8_scale(&b));
-        let (mut qa, mut qb) = (Vec::new(), Vec::new());
-        kernels::quantize_i8(&a, sa, &mut qa);
-        kernels::quantize_i8(&b, sb, &mut qb);
-
-        // Each element rounds by at most half a step, so the dot error
-        // is bounded per term by (sa/2)|b| + (|a| + sa/2)(sb/2).
-        let got = f64::from(kernels::dot_i8(&qa, &qb)) * sa as f64 * sb as f64;
-        let want = dot_ref(&a, &b);
-        let ma = a.iter().fold(0.0f64, |m, &x| m.max(x.abs() as f64));
-        let mb = b.iter().fold(0.0f64, |m, &x| m.max(x.abs() as f64));
-        let (sa64, sb64) = (sa as f64, sb as f64);
-        let bound =
-            d as f64 * (sa64 / 2.0 * mb + ma * sb64 / 2.0 + sa64 * sb64 / 4.0) * 1.5 + 1e-4;
-        prop_assert!((got - want).abs() <= bound, "i8 dot dim {d}: {got} vs {want} (±{bound})");
-
-        let s = sa.max(sb);
-        kernels::quantize_i8(&a, s, &mut qa);
-        kernels::quantize_i8(&b, s, &mut qb);
-        let got = f64::from(kernels::squared_l2_i8(&qa, &qb)) * s as f64 * s as f64;
-        let want = l2_ref(&a, &b);
-        // |d̂² − d²| ≤ e(2|d| + e) per element with e ≤ s (two half-step
-        // roundings), summed over the vector.
-        let sum_abs_diff: f64 = a.iter().zip(&b).map(|(x, y)| (x - y).abs() as f64).sum();
-        let bound = s as f64 * (2.0 * sum_abs_diff + d as f64 * s as f64) * 1.5 + 1e-4;
-        prop_assert!((got - want).abs() <= bound, "i8 l2 dim {d}: {got} vs {want} (±{bound})");
-
-        // Integer arithmetic has no reassociation error: every backend
-        // must produce the identical i32.
-        let dref = kernels::dot_i8_on(Backend::Scalar, &qa, &qb);
-        let lref = kernels::squared_l2_i8_on(Backend::Scalar, &qa, &qb);
-        for bk in Backend::available() {
-            prop_assert_eq!(kernels::dot_i8_on(bk, &qa, &qb), dref, "{:?} i8 dot drift", bk);
-            prop_assert_eq!(
-                kernels::squared_l2_i8_on(bk, &qa, &qb), lref, "{:?} i8 l2 drift", bk
-            );
-        }
-    }
-
-    /// The f16 round trip is within one half-ulp (2⁻¹¹ relative for
-    /// normals, half the smallest subnormal step absolutely), re-encoding
-    /// a decoded value is a fixed point, and order survives the trip.
-    #[test]
-    fn f16_round_trip_is_tight_idempotent_and_monotone(
-        x in -60000.0f32..60000.0,
-        y in -60000.0f32..60000.0,
-    ) {
-        let rx = kernels::f16_to_f32(kernels::f16_from_f32(x));
-        let tol = (x.abs() as f64 / 2048.0).max(6.0e-8);
-        prop_assert!((rx as f64 - x as f64).abs() <= tol, "f16 round trip {x} -> {rx}");
-        prop_assert_eq!(kernels::f16_from_f32(rx), kernels::f16_from_f32(x), "not idempotent");
-        let ry = kernels::f16_to_f32(kernels::f16_from_f32(y));
-        if x <= y {
-            prop_assert!(rx <= ry, "f16 broke order: {x} <= {y} but {rx} > {ry}");
-        }
-    }
-
-    /// f16 distances stay within the half-ulp-per-factor budget against
-    /// the f64 reference, and all backends agree up to f32 accumulation
-    /// order on every dim.
-    #[test]
-    fn f16_distances_stay_within_ulp_bounds(d in 1usize..=128, seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a: Vec<f32> = (0..d).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
-        let b: Vec<f32> = (0..d).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
-        let ha: Vec<u16> = a.iter().map(|&x| kernels::f16_from_f32(x)).collect();
-        let hb: Vec<u16> = b.iter().map(|&x| kernels::f16_from_f32(x)).collect();
-
-        let got = kernels::dot_f16(&ha, &hb) as f64;
-        let want = dot_ref(&a, &b);
-        // Both factors carry ≤2⁻¹¹ relative error, so each product is
-        // within ~2⁻¹⁰ of exact; the rest is f32 accumulation.
-        let mag: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs() as f64).sum();
-        let bound = mag * 1.5 / 1024.0 + eps(d, 64.0);
-        prop_assert!((got - want).abs() <= bound, "f16 dot dim {d}: {got} vs {want} (±{bound})");
-
-        let l_got = kernels::squared_l2_f16(&ha, &hb) as f64;
-        let l_want = l2_ref(&a, &b);
-        let bound = a
-            .iter()
-            .zip(&b)
-            .map(|(x, y)| {
-                let e = (x.abs() + y.abs()) as f64 / 2048.0;
-                2.0 * ((x - y).abs() as f64 + e) * e
-            })
-            .sum::<f64>()
-            * 1.5
-            + eps(d, 64.0);
-        prop_assert!(
-            (l_got - l_want).abs() <= bound,
-            "f16 l2 dim {d}: {l_got} vs {l_want} (±{bound})"
-        );
-
-        for bk in Backend::available() {
-            let db = kernels::dot_f16_on(bk, &ha, &hb) as f64;
-            prop_assert!((db - got).abs() <= eps(d, 64.0), "{:?} f16 dot drift", bk);
-            let lb = kernels::squared_l2_f16_on(bk, &ha, &hb) as f64;
-            prop_assert!((lb - l_got).abs() <= eps(d, 64.0), "{:?} f16 l2 drift", bk);
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   JSON parser.
 //! * `POST /batch` with body `{"queries": [{"op": "neighbors", "v": 0,
 //!   "k": 5}, {"op": "similarity", "a": 0, "b": 1}, {"op": "predict",
-//!   "v": 3}, ...]}` — up to [`batch_max`] heterogeneous queries answered
+//!   "v": 3}, ...]}` — up to [`BATCH_MAX`] heterogeneous queries answered
 //!   in one exchange. Each query dispatches through the same handler as
 //!   its single-query endpoint, so each result body is byte-identical to
 //!   what that endpoint would have returned; per-query failures are
@@ -33,33 +33,21 @@
 //! to the exact scan, which is slower but correct — rather than serving
 //! wrong neighbors or refusing to start. `/healthz` reports the mode.
 
-use crate::hnsw::{HnswConfig, HnswIndex, QuantMode};
+use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::http::{Handler, Request, Response};
 use crate::swap::Swap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use v2v_embed::Embedding;
 use v2v_graph::VertexId;
 use v2v_obs::json;
 use v2v_store::EmbeddingStore;
 
-/// Upper bound on queries accepted per `POST /batch` request. A process
-/// knob (not per-state) because it caps a transport-level abuse vector,
-/// like the body-size limit: one oversized batch can monopolize a worker
-/// thread for the whole pipeline of queries behind it.
-static BATCH_MAX: AtomicUsize = AtomicUsize::new(64);
-
-/// Sets the `/batch` per-request query cap (0 disables the endpoint).
-pub fn set_batch_max(max: usize) {
-    BATCH_MAX.store(max, Ordering::Relaxed);
-    v2v_obs::global_metrics().gauge("serve.batch.max").set(max as f64);
-}
-
-/// The current `/batch` per-request query cap.
-pub fn batch_max() -> usize {
-    BATCH_MAX.load(Ordering::Relaxed)
-}
+/// Upper bound on queries accepted per `POST /batch` request. It caps a
+/// transport-level abuse vector, like the body-size limit: one oversized
+/// batch can monopolize a worker thread for the whole pipeline of queries
+/// behind it.
+pub const BATCH_MAX: usize = 64;
 
 /// Where the served vectors live: an in-RAM [`Embedding`] (text/binary
 /// file loads) or an [`EmbeddingStore`] — typically an `mmap`ed V2VE v2
@@ -268,17 +256,6 @@ impl ServeState {
                 .gauge(&format!("serve.index_source.{s}"))
                 .set(f64::from(s == index_source));
         }
-        // Which candidate-scoring mode steers HNSW traversal, and how much
-        // memory its code table costs — one-hot so dashboards can label
-        // latency series without string-valued metrics.
-        let quantize = index.config().quantize;
-        for m in [QuantMode::Off, QuantMode::Int8, QuantMode::F16] {
-            metrics
-                .gauge(&format!("serve.quantize.{}", m.name()))
-                .set(f64::from(m == quantize));
-        }
-        metrics.gauge("serve.quantize.table_bytes").set(index.quant_bytes() as f64);
-        metrics.gauge("serve.index.shards").set(index.shard_count() as f64);
         v2v_obs::record_event(v2v_obs::Event::new(
             "index",
             "",
@@ -521,7 +498,7 @@ fn healthz(state: &ServeState) -> Response {
     let mut body = String::from("{\"status\": \"ok\"");
     let _ = write!(
         body,
-        ", \"vectors\": {}, \"dimensions\": {}, \"index\": \"{}\", \"index_source\": \"{}\", \"backing\": \"{}\", \"degraded\": {}, \"metric\": \"{}\", \"ef_search\": {}, \"quantize\": \"{}\", \"shards\": {}, \"labels\": {}}}",
+        ", \"vectors\": {}, \"dimensions\": {}, \"index\": \"{}\", \"index_source\": \"{}\", \"backing\": \"{}\", \"degraded\": {}, \"metric\": \"{}\", \"ef_search\": {}, \"labels\": {}}}",
         state.vectors.len(),
         state.vectors.dimensions(),
         if state.index.is_graph() { "hnsw" } else { "exact" },
@@ -530,8 +507,6 @@ fn healthz(state: &ServeState) -> Response {
         state.degraded,
         state.index.config().metric.name(),
         state.index.config().ef_search,
-        state.index.config().quantize.name(),
-        state.index.shard_count(),
         state.labels.is_some(),
     );
     Response::json(200, body)
@@ -697,7 +672,7 @@ fn predict_parsed(state: &ServeState, doc: &json::Value) -> Response {
     }
 }
 
-/// `POST /batch`: up to [`batch_max`] heterogeneous queries answered in
+/// `POST /batch`: up to [`BATCH_MAX`] heterogeneous queries answered in
 /// one exchange — one connection round-trip and one request parse for N
 /// lookups. Each query routes through the same handler function as its
 /// single-query endpoint, so every result body is byte-identical to the
@@ -705,7 +680,6 @@ fn predict_parsed(state: &ServeState, doc: &json::Value) -> Response {
 /// slot without failing the rest of the batch.
 fn batch(state: &ServeState, req: &Request) -> Response {
     let metrics = v2v_obs::global_metrics();
-    let max = batch_max();
     let text = match std::str::from_utf8(&req.body) {
         Ok(t) => t,
         Err(_) => return Response::error(400, "body is not UTF-8"),
@@ -717,11 +691,11 @@ fn batch(state: &ServeState, req: &Request) -> Response {
     let Some(queries) = doc.get("queries").and_then(|q| q.as_array()) else {
         return Response::error(400, "body must be an object with a \"queries\" array");
     };
-    if queries.len() > max {
+    if queries.len() > BATCH_MAX {
         metrics.counter("serve.batch.rejected").inc();
         return Response::error(
             400,
-            &format!("batch has {} queries, limit is {max} (see --batch-max)", queries.len()),
+            &format!("batch has {} queries, limit is {BATCH_MAX}", queries.len()),
         );
     }
     metrics.counter("serve.batch.requests").inc();
@@ -1062,11 +1036,9 @@ mod tests {
             assert_eq!(slot.get("status").unwrap().as_u64(), Some(400));
         }
 
-        // One query past the default cap rejects the whole request (no
-        // set_batch_max here: the cap is process-global and tests share
-        // the process).
+        // One query past the cap rejects the whole request.
         let mut big = String::from("{\"queries\": [");
-        for i in 0..=batch_max() {
+        for i in 0..=BATCH_MAX {
             if i > 0 {
                 big.push_str(", ");
             }
@@ -1200,6 +1172,54 @@ mod tests {
         assert_eq!(doc.get("index").unwrap().as_str(), Some("hnsw"));
         let backing = doc.get("backing").unwrap().as_str().unwrap().to_string();
         assert!(backing == "mmap" || backing == "heap", "{backing}");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store indexed by an earlier build's sharded layout carries a
+    /// version-2 snapshot container: it is refused by version, counted,
+    /// and the index is rebuilt — the store still serves.
+    #[test]
+    fn sharded_v2_snapshot_is_refused_and_rebuilt() {
+        use v2v_store::hash::{fnv1a64, FNV_OFFSET};
+        let dir = std::env::temp_dir().join(format!("v2v_api_v2snap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sharded.v2s");
+
+        let (n, dims) = (40usize, 4usize);
+        let data: Vec<f32> = (0..n * dims).map(|i| (i % 7) as f32 - 3.0).collect();
+        let fp = v2v_store::write_store(&path, dims, &data, 64, None).unwrap();
+
+        // The version-2 header as those builds wrote it (two shards, child
+        // blobs left out), checksummed so the reader gets to the version.
+        let mut blob = Vec::new();
+        blob.extend_from_slice(&crate::hnsw::SNAPSHOT_MAGIC);
+        blob.extend_from_slice(&2u32.to_le_bytes());
+        blob.extend_from_slice(&0u64.to_le_bytes()); // build fingerprint, never reached
+        blob.extend_from_slice(&fp.to_le_bytes());
+        blob.extend_from_slice(&(n as u64).to_le_bytes());
+        blob.extend_from_slice(&2u32.to_le_bytes());
+        let sum = fnv1a64(FNV_OFFSET, &blob);
+        blob.extend_from_slice(&sum.to_le_bytes());
+
+        let err =
+            HnswIndex::from_snapshot(&blob, dims, data.clone(), HnswConfig::default(), fp)
+                .unwrap_err();
+        assert!(err.contains("unsupported snapshot version 2"), "{err}");
+
+        v2v_store::write_store(&path, dims, &data, 64, Some(&blob)).unwrap();
+        let rejected = v2v_obs::global_metrics().counter("serve.index.snapshot_rejected");
+        let before = rejected.get();
+        let state = ServeState::from_store(
+            EmbeddingStore::open(&path).unwrap(),
+            HnswConfig::default(),
+            None,
+            true,
+        )
+        .unwrap();
+        assert_eq!(state.index_source(), "rebuilt");
+        assert_eq!(rejected.get() - before, 1);
+        assert_eq!(get(&state, "/neighbors?v=0&k=3").status, 200);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -50,9 +50,9 @@ pub mod sentinel;
 pub mod signal;
 pub mod swap;
 
-pub use api::{batch_max, set_batch_max, Reloader, ServeHandle, ServeState, VectorSet};
+pub use api::{Reloader, ServeHandle, ServeState, VectorSet};
 pub use sentinel::{QualityState, SentinelConfig};
-pub use hnsw::{build_fingerprint, HnswConfig, HnswIndex, Metric, QuantMode};
+pub use hnsw::{build_fingerprint, HnswConfig, HnswIndex, Metric};
 pub use http::{retry_after_secs, Handler, Request, Response, Server, ServerConfig};
 pub use swap::Swap;
 
