@@ -30,6 +30,15 @@
 //! folds [`backend_name`] into its checkpoint fingerprint for exactly this
 //! reason.
 //!
+//! Within one backend the two-argument reductions — [`dot`],
+//! [`squared_l2`], [`cosine_prenormed`] — are **symmetric to the bit**:
+//! `f(a, b).to_bits() == f(b, a).to_bits()`. Each lane multiplies the same
+//! two floats (or squares `a_i - b_i = -(b_i - a_i)`) whichever argument
+//! comes first, and lanes are accumulated in the same order. The ANN index
+//! caches `d(a, b)` and reads it back as `d(b, a)`; a kernel that treats
+//! its arguments differently (say, pre-scaling one of them) would break
+//! that, and the `reductions_are_bitwise_symmetric` property test.
+//!
 //! Every public kernel has an `*_on(backend, ...)` twin that runs a chosen
 //! backend explicitly (panicking if it is unavailable on this CPU); the
 //! plain forms dispatch to [`backend`]. Tests and benchmarks use the `_on`

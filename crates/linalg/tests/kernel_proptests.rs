@@ -59,6 +59,38 @@ proptest! {
         }
     }
 
+    /// `dot`, `squared_l2` and `cosine_prenormed` are symmetric to the
+    /// bit on every backend: each lane multiplies (or squares the
+    /// difference of) the same two floats whichever argument comes first,
+    /// and the lanes are summed in the same order. The HNSW build leans on
+    /// this: it caches `d(new, target)` from the search phase and reuses
+    /// it as `d(target, new)` when it prunes the target's link list.
+    #[test]
+    fn reductions_are_bitwise_symmetric(idx in 0..LENGTHS.len(), seed in any::<u64>()) {
+        let len = LENGTHS[idx];
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
+        let b: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
+        for bk in Backend::available() {
+            prop_assert_eq!(
+                kernels::dot_on(bk, &a, &b).to_bits(),
+                kernels::dot_on(bk, &b, &a).to_bits(),
+                "{:?} dot", bk
+            );
+            prop_assert_eq!(
+                kernels::squared_l2_on(bk, &a, &b).to_bits(),
+                kernels::squared_l2_on(bk, &b, &a).to_bits(),
+                "{:?} squared_l2", bk
+            );
+            prop_assert_eq!(
+                kernels::cosine_prenormed_on(bk, &a, &b).to_bits(),
+                kernels::cosine_prenormed_on(bk, &b, &a).to_bits(),
+                "{:?} cosine_prenormed", bk
+            );
+        }
+    }
+
     /// `axpy` and `scale` match elementwise f64 references on every backend.
     #[test]
     fn updates_match_reference(

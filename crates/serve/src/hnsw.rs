@@ -19,13 +19,28 @@
 //!   [`search`](HnswIndex::search) is an exact scan: at small `n` the scan
 //!   is faster than graph traversal and trivially exact.
 //! * **Batched parallel build** — insertion order is sequential in
-//!   HNSW's description; here construction runs in doubling rounds, each
-//!   round searching the frozen graph for every new vertex in parallel
-//!   (the vendored `rayon` shim) and then applying the link updates
-//!   serially. Round `r` therefore can't see its own members during the
-//!   search phase, but reverse-link insertion still stitches them in, and
-//!   each round doubles the graph so the "blind" fraction stays bounded —
-//!   recall is validated against the exact scan in the property tests.
+//!   HNSW's description; here construction runs in doubling rounds of two
+//!   phases, both spread over `available_parallelism()` scoped threads by
+//!   one helper (`par_map`, results in input order). The *search phase*
+//!   plans every new vertex of the round against the frozen graph. Round
+//!   `r` therefore can't see its own members, but reverse links still
+//!   stitch them in, and each round doubles the graph so the "blind"
+//!   fraction stays bounded — recall is validated against the exact scan
+//!   in the property tests. The *apply phase* wires each new vertex's own
+//!   links serially (a copy), then groups the round's reverse-link pushes
+//!   by `(target, layer)`. A target is always a vertex of an earlier
+//!   round and a group touches one link list and reads only vectors, so
+//!   groups are independent; inside a group pushes keep plan order, so
+//!   folding it replays exactly what pushing them one vertex at a time
+//!   would do. A round lands dozens of pushes on the same list, each
+//!   overflow re-running the diversity heuristic over nearly the same
+//!   members; the fold computes `d(target, member)` once and memoises the
+//!   heuristic's member-to-member distances for the life of the group,
+//!   which is where two thirds of the build's distance evaluations went.
+//!   The graph does not depend on the thread count — but it does depend
+//!   on how the heuristic's one `sort_unstable_by` resolves exact distance
+//!   ties (duplicate rows produce them), so that sort's element type,
+//!   comparator and input order are part of the snapshot-byte contract.
 //!
 //! Cosine distance is served by storing L2-normalized copies of the
 //! vectors (norms are paid once at build time), so every comparison is one
@@ -37,10 +52,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use v2v_embed::Embedding;
 use v2v_linalg::kernels;
@@ -112,12 +127,103 @@ impl Ord for OrdF32 {
     }
 }
 
-/// Per-vertex link updates computed by the (parallel) search phase of one
-/// build round, applied serially.
+/// Per-vertex link updates computed by the search phase of one build
+/// round.
 struct InsertPlan {
     id: usize,
-    /// Selected neighbors per layer, `0..=level`.
-    per_layer: Vec<Vec<u32>>,
+    /// Selected neighbors per layer, `0..=level`, each with its distance
+    /// to `id` — which the apply phase reuses as `d(neighbor, id)`; the
+    /// kernels are bitwise symmetric.
+    per_layer: Vec<Vec<(u32, f32)>>,
+}
+
+/// One reverse link of a round: `id`, at `dist`, joins `target`'s list.
+struct Push {
+    target: u32,
+    layer: u32,
+    id: u32,
+    dist: f32,
+}
+
+/// Rounds smaller than this run on the calling thread.
+const PAR_MIN_ITEMS: usize = 32;
+
+/// `items.iter().map(f).collect()` over `threads` scoped threads. Workers
+/// claim blocks off a shared counter (a beam search or a list fold costs
+/// what its neighborhood costs, so equal shares would not be equal work;
+/// `Relaxed`, the counter publishes nothing but block numbers) and the
+/// blocks are put back in input order: the result never depends on
+/// scheduling or on `threads`.
+fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if threads < 2 || items.len() < PAR_MIN_ITEMS {
+        return items.iter().map(f).collect();
+    }
+    let block = (items.len() / (threads * 8)).max(1);
+    let next = AtomicUsize::new(0);
+    let mut blocks: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let lo = next.fetch_add(block, Ordering::Relaxed);
+                        if lo >= items.len() {
+                            return mine;
+                        }
+                        let hi = (lo + block).min(items.len());
+                        mine.push((lo, items[lo..hi].iter().map(&f).collect()));
+                    }
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("index build worker panicked")).collect()
+    });
+    blocks.sort_unstable_by_key(|&(lo, _)| lo);
+    blocks.into_iter().flat_map(|(_, out)| out).collect()
+}
+
+/// Algorithm 4's diversity heuristic: walk candidates nearest-first and
+/// keep one only if it is closer to the base vertex than to every
+/// neighbor already kept; backfill with the nearest discards.
+///
+/// Candidates are `(key, distance to the base vertex)` and `pair_dist`
+/// is the distance between two keys. The search phase keys by vertex id
+/// and computes pairs from the vectors; the apply phase keys by list slot
+/// and answers pairs from its memo. `skip` is the base vertex's own key,
+/// for when the beam can surface it (re-linking a vertex already in the
+/// graph): a vertex never links to itself.
+fn select_neighbors(
+    candidates: &mut Vec<(u32, f32)>,
+    skip: Option<u32>,
+    m: usize,
+    mut pair_dist: impl FnMut(u32, u32) -> f32,
+) -> Vec<(u32, f32)> {
+    // The graph's bytes hang on this sort. Exact distance ties occur
+    // (duplicate rows; hundreds per 30 000-vector build) and an unstable
+    // sort orders them by std's internals, which look at the element
+    // size: sorting `(usize, f32)` here already builds a different graph.
+    // Keep the element type, the comparator and the callers' input order
+    // as they are, or re-pin every snapshot hash in the tests.
+    candidates.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
+    candidates.dedup_by_key(|c| c.0);
+    let mut kept: Vec<(u32, f32)> = Vec::with_capacity(m);
+    let mut discarded: Vec<(u32, f32)> = Vec::new();
+    for &(c, c_dist) in candidates.iter() {
+        if Some(c) == skip {
+            continue;
+        }
+        if kept.len() >= m {
+            break;
+        }
+        if kept.iter().all(|&(s, _)| pair_dist(c, s) > c_dist) {
+            kept.push((c, c_dist));
+        } else {
+            discarded.push((c, c_dist));
+        }
+    }
+    let room = m - kept.len();
+    kept.extend(discarded.into_iter().take(room));
+    kept
 }
 
 /// The built index: layered proximity graph over flat `f32` vectors.
@@ -154,7 +260,19 @@ impl HnswIndex {
     /// # Panics
     /// Panics if `dims == 0`, the buffer is not a multiple of `dims`, or
     /// `config.m < 2`.
-    pub fn build(dims: usize, mut vectors: Vec<f32>, config: HnswConfig) -> HnswIndex {
+    pub fn build(dims: usize, vectors: Vec<f32>, config: HnswConfig) -> HnswIndex {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        HnswIndex::build_on(threads, dims, vectors, config)
+    }
+
+    /// [`build`](HnswIndex::build) on a given number of threads; the
+    /// graph is the same for every count.
+    fn build_on(
+        threads: usize,
+        dims: usize,
+        mut vectors: Vec<f32>,
+        config: HnswConfig,
+    ) -> HnswIndex {
         assert!(dims > 0, "dimensions must be positive");
         assert_eq!(vectors.len() % dims, 0, "buffer not a multiple of dimensions");
         assert!(config.m >= 2, "m must be at least 2");
@@ -179,7 +297,7 @@ impl HnswIndex {
         };
 
         if n > index.config.brute_force_threshold {
-            index.build_graph(n);
+            index.build_graph(n, threads);
         }
         index.build_time = start.elapsed();
         index
@@ -221,8 +339,9 @@ impl HnswIndex {
     }
 
     /// Structural validation of the proximity graph: link tables cover
-    /// every vertex, every neighbor id is in range and occupies the layer
-    /// it is linked on, and the entry point sits on the top layer. A
+    /// every vertex, no list is over its layer's out-degree cap, every
+    /// neighbor id is in range, is not the vertex itself and occupies the
+    /// layer it is linked on, and the entry point sits on the top layer. A
     /// corrupted graph would make searches skip or crash; callers degrade
     /// to the exact scan ([`into_exact`](HnswIndex::into_exact)) instead
     /// of serving wrong neighbors. The `serve.index.validate` fault point
@@ -258,8 +377,18 @@ impl HnswIndex {
                 ));
             }
             for (layer, nbrs) in layers.iter().enumerate() {
+                if nbrs.len() > self.m_for(layer) {
+                    return Err(format!(
+                        "vertex {v} has {} links at layer {layer}, over the cap of {}",
+                        nbrs.len(),
+                        self.m_for(layer)
+                    ));
+                }
                 for &u in nbrs {
                     let u = u as usize;
+                    if u == v {
+                        return Err(format!("vertex {v} links to itself at layer {layer}"));
+                    }
                     if u >= n {
                         return Err(format!(
                             "vertex {v} links to {u} at layer {layer}, out of range"
@@ -438,42 +567,8 @@ impl HnswIndex {
         best.into_iter().map(|(OrdF32(d), id)| (id, d)).collect()
     }
 
-    /// Algorithm 4's diversity heuristic: walk candidates nearest-first and
-    /// keep one only if it is closer to the query vertex than to every
-    /// neighbor already kept; backfill with the nearest discards.
-    fn select_neighbors(&self, base: usize, candidates: &mut Vec<(u32, f32)>, m: usize) -> Vec<u32> {
-        candidates.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
-        candidates.dedup_by_key(|c| c.0);
-        let mut kept: Vec<(u32, f32)> = Vec::with_capacity(m);
-        let mut discarded: Vec<u32> = Vec::new();
-        for &(c, c_dist) in candidates.iter() {
-            if c as usize == base {
-                continue;
-            }
-            if kept.len() >= m {
-                break;
-            }
-            let diverse = kept
-                .iter()
-                .all(|&(s, _)| self.dist(self.vector(c as usize), self.vector(s as usize)) > c_dist);
-            if diverse {
-                kept.push((c, c_dist));
-            } else {
-                discarded.push(c);
-            }
-        }
-        let mut out: Vec<u32> = kept.into_iter().map(|(c, _)| c).collect();
-        for c in discarded {
-            if out.len() >= m {
-                break;
-            }
-            out.push(c);
-        }
-        out
-    }
-
     /// Builds the layered graph in doubling rounds (see module docs).
-    fn build_graph(&mut self, n: usize) {
+    fn build_graph(&mut self, n: usize, threads: usize) {
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
         // Geometric level assignment, capped so pathological draws can't
         // allocate absurd layer vectors.
@@ -497,14 +592,8 @@ impl HnswIndex {
         while inserted < n {
             let round = inserted.min(n - inserted);
             let batch: Vec<usize> = (inserted..inserted + round).collect();
-            let plans: Vec<InsertPlan> = if round >= 32 {
-                batch.par_iter().map(|&id| self.plan_insert(id)).collect()
-            } else {
-                batch.iter().map(|&id| self.plan_insert(id)).collect()
-            };
-            for plan in plans {
-                self.apply_insert(plan);
-            }
+            let plans = par_map(&batch, threads, |&id| self.plan_insert(id));
+            self.apply_round(plans, threads);
             inserted += round;
         }
     }
@@ -540,7 +629,10 @@ impl HnswIndex {
         for layer in (0..=level.min(self.max_level)).rev() {
             let mut found =
                 self.search_layer(q, ep, ep_dist, layer, self.config.ef_construction);
-            let selected = self.select_neighbors(id, &mut found, self.m_for(layer));
+            let selected =
+                select_neighbors(&mut found, Some(id as u32), self.m_for(layer), |c, s| {
+                    self.dist(self.vector(c as usize), self.vector(s as usize))
+                });
             // Continue descending from the best candidate found here.
             if let Some(&(best, best_dist)) =
                 found.iter().min_by(|a, b| a.1.total_cmp(&b.1))
@@ -553,36 +645,142 @@ impl HnswIndex {
         InsertPlan { id, per_layer }
     }
 
-    /// Link phase of an insertion: wires `id` in and prunes overflowing
-    /// reverse links. Serial — mutates the graph.
-    fn apply_insert(&mut self, plan: InsertPlan) {
-        let id = plan.id;
-        let level = self.levels[id];
-        for (layer, selected) in plan.per_layer.into_iter().enumerate() {
-            let cap = self.m_for(layer);
-            for &nb in &selected {
-                let nb = nb as usize;
-                if self.links[nb].len() <= layer {
-                    continue; // stale plan row beyond the neighbor's level
+    /// Link phase of a round: wires every planned vertex in, then folds
+    /// the reverse links it asked for into their targets' lists, one
+    /// `(target, layer)` group at a time (see module docs).
+    fn apply_round(&mut self, plans: Vec<InsertPlan>, threads: usize) {
+        let mut pushes: Vec<Push> = Vec::new();
+        for plan in plans {
+            let id = plan.id;
+            for (layer, selected) in plan.per_layer.into_iter().enumerate() {
+                for &(nb, dist) in &selected {
+                    debug_assert_ne!(nb as usize, id, "a plan never selects its own vertex");
+                    // A plan row can reach beyond the neighbor's level;
+                    // there is no list to push to up there.
+                    if self.links[nb as usize].len() > layer {
+                        pushes.push(Push { target: nb, layer: layer as u32, id: id as u32, dist });
+                    }
                 }
-                if self.links[nb][layer].contains(&(id as u32)) {
-                    continue;
+                self.links[id][layer] = selected.into_iter().map(|(nb, _)| nb).collect();
+            }
+            if self.levels[id] > self.max_level {
+                self.max_level = self.levels[id];
+                self.entry = id;
+            }
+        }
+        // Stable: inside a group, plan order is the order one-at-a-time
+        // insertion would have pushed in.
+        pushes.sort_by_key(|p| (p.target, p.layer));
+        let groups: Vec<&[Push]> =
+            pushes.chunk_by(|a, b| (a.target, a.layer) == (b.target, b.layer)).collect();
+        let lists = par_map(&groups, threads, |group| self.fold_pushes(group));
+        for (group, list) in groups.iter().zip(lists) {
+            if let Some(list) = list {
+                self.links[group[0].target as usize][group[0].layer as usize] = list;
+            }
+        }
+    }
+
+    /// One target's link list after a round's pushes, in plan order: push,
+    /// and when the list overflows its cap, cut it back with the diversity
+    /// heuristic — the list one-at-a-time insertion leaves, for fewer
+    /// distance evaluations. A member's distance to the target is computed
+    /// once, at the first overflow (a member pushed later brings it from
+    /// its plan), and member-to-member distances are kept in `memo` while
+    /// both members stay on the list. `None` when the list already held
+    /// every pushed vertex (`patched` re-linking a vertex whose neighbors
+    /// still link back).
+    fn fold_pushes(&self, pushes: &[Push]) -> Option<Vec<u32>> {
+        let (target, layer) = (pushes[0].target as usize, pushes[0].layer as usize);
+        let cap = self.m_for(layer);
+        let old = &self.links[target][layer];
+        let first_new = pushes.iter().position(|push| !old.contains(&push.id))?;
+        let mut ids: Vec<u32> = Vec::with_capacity(cap + 1);
+        ids.extend_from_slice(old);
+
+        // While the list has room a push is an append.
+        let mut rest = &pushes[first_new..];
+        while let [push, later @ ..] = rest {
+            if !ids.contains(&push.id) {
+                if ids.len() >= cap {
+                    break;
                 }
-                self.links[nb][layer].push(id as u32);
-                if self.links[nb][layer].len() > cap {
-                    let mut candidates: Vec<(u32, f32)> = self.links[nb][layer]
-                        .iter()
-                        .map(|&c| (c, self.dist(self.vector(nb), self.vector(c as usize))))
-                        .collect();
-                    self.links[nb][layer] = self.select_neighbors(nb, &mut candidates, cap);
+                ids.push(push.id);
+            }
+            rest = later;
+        }
+        if rest.is_empty() {
+            return Some(ids);
+        }
+
+        // From the first overflow on, members are known by slot (`ids[slot]`
+        // is the vertex) and the list is `(slot, distance to target)` in
+        // link order. The cut evicts a member for every one pushed and a
+        // later push takes the slot over, so the memo stays
+        // `stride * stride` however many pushes pass through. NaN marks a
+        // pair not computed yet (a distance that *is* NaN is just computed
+        // again each time).
+        let stride = cap.max(ids.len()) + 1;
+        let mut list: Vec<(u32, f32)> = Vec::with_capacity(stride);
+        list.extend(
+            (0u32..)
+                .zip(&ids)
+                .map(|(slot, &id)| (slot, self.dist_to(self.vector(target), id as usize))),
+        );
+        // Only a later overflow reads what this one memoises: a group's
+        // last push (every push of `patched`) goes without.
+        let memoise = rest.len() > 1;
+        let mut memo = vec![f32::NAN; if memoise { stride * stride } else { 0 }];
+        let mut on_list = vec![false; if memoise { stride } else { 0 }];
+        let mut free: Vec<u32> = Vec::new();
+
+        for push in rest {
+            if list.iter().any(|&(slot, _)| ids[slot as usize] == push.id) {
+                continue;
+            }
+            let slot = match free.pop() {
+                Some(slot) => {
+                    let slot = slot as usize;
+                    for other in 0..stride {
+                        memo[slot * stride + other] = f32::NAN;
+                        memo[other * stride + slot] = f32::NAN;
+                    }
+                    ids[slot] = push.id;
+                    slot
+                }
+                None => {
+                    ids.push(push.id);
+                    ids.len() - 1
+                }
+            };
+            list.push((slot as u32, push.dist));
+            let pair = |c: usize, s: usize| {
+                self.dist_to(self.vector(ids[c] as usize), ids[s] as usize)
+            };
+            let kept = select_neighbors(&mut list, None, cap, |c, s| {
+                let (c, s) = (c as usize, s as usize);
+                if !memoise {
+                    return pair(c, s);
+                }
+                if memo[c * stride + s].is_nan() {
+                    let d = pair(c, s);
+                    memo[c * stride + s] = d;
+                    memo[s * stride + c] = d;
+                }
+                memo[c * stride + s]
+            });
+            if memoise {
+                for &(slot, _) in &kept {
+                    on_list[slot as usize] = true;
+                }
+                free.extend(list.iter().map(|c| c.0).filter(|&slot| !on_list[slot as usize]));
+                for &(slot, _) in &kept {
+                    on_list[slot as usize] = false;
                 }
             }
-            self.links[id][layer] = selected;
+            list = kept;
         }
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = id;
-        }
+        Some(list.into_iter().map(|(slot, _)| ids[slot as usize]).collect())
     }
 
     /// Incremental patch for streaming refresh: a new index over this
@@ -651,16 +849,12 @@ impl HnswIndex {
         }
         // Plans run against the *old* links of the vertex being relinked
         // (they keep the graph connected during the search — important
-        // when the moved vertex is the entry point); `apply_insert` then
-        // replaces them wholesale with the recomputed selection.
+        // when the moved vertex is the entry point); `apply_round` then
+        // replaces them wholesale with the recomputed selection. Each
+        // vertex is a round of its own, so the next plan sees its links.
         let relink = |idx: &mut HnswIndex, id: usize| {
-            let mut plan = idx.plan_insert(id);
-            // Unlike build-time insertion the vertex is already present in
-            // the graph, so the beam can surface it; never self-link.
-            for layer in &mut plan.per_layer {
-                layer.retain(|&nb| nb as usize != id);
-            }
-            idx.apply_insert(plan);
+            let plan = idx.plan_insert(id);
+            idx.apply_round(vec![plan], 1);
         };
         for &(id, _) in updates {
             relink(&mut idx, id);
@@ -1166,6 +1360,106 @@ mod tests {
         let snap = HnswIndex::build(dims, data, cfg).snapshot(fp);
         assert_eq!(snap.len(), 98_129);
         assert_eq!(fnv1a64(FNV_OFFSET, &snap), 0x2ad8_b7c3_7371_c3ce);
+    }
+
+    /// 3 000 clustered rows, every 7th row from 700 on an exact copy of
+    /// an earlier one (zero distances and exact distance ties), and a
+    /// patch over them: 40 moved rows, 5 appended.
+    fn duplicate_rows_fixture() -> (usize, Vec<f32>, Vec<(usize, Vec<f32>)>, Vec<f32>) {
+        let (n, dims) = (3000, 16);
+        let mut data = clustered(n, dims, 24, 0xD0B1E);
+        for i in (700..n).step_by(7) {
+            data.copy_within((i - 650) * dims..(i - 649) * dims, i * dims);
+        }
+        let mut rng = SmallRng::seed_from_u64(0xFA7C4);
+        let updates = (0..40)
+            .map(|i| {
+                let id = (i * 71 + 5) % n;
+                let row = data[id * dims..(id + 1) * dims]
+                    .iter()
+                    .map(|x| x + rng.gen_range(-0.05f32..0.05))
+                    .collect();
+                (id, row)
+            })
+            .collect();
+        (dims, data, updates, clustered(5, dims, 24, 0xA99E4D))
+    }
+
+    /// Pins captured by running this body at the last commit whose apply
+    /// phase pushed reverse links one vertex at a time: twelve doubling
+    /// rounds of `build` and the 45 single-vertex rounds of `patched`
+    /// must leave the bytes that code left. Cosine distances round
+    /// differently per kernel backend, so there is a pin per backend (the
+    /// portable unrolled one cannot be forced from a test and goes
+    /// unpinned).
+    #[test]
+    fn cosine_build_and_patch_snapshot_bytes_are_pinned() {
+        use v2v_store::hash::{fnv1a64, FNV_OFFSET};
+        let (want_built, want_patched) = match kernels::backend() {
+            kernels::Backend::Avx2Fma => (0x96ca_88fb_9ebe_0236, 0xa618_e1f1_ddac_6001),
+            kernels::Backend::Scalar => (0xb0c2_4b84_dcae_2510, 0x045b_7430_b927_7352),
+            kernels::Backend::Unrolled => return,
+        };
+        let (dims, data, updates, appended) = duplicate_rows_fixture();
+        let cfg = small_config(Metric::Cosine);
+        let fp = build_fingerprint(&cfg, dims);
+        let built = HnswIndex::build(dims, data, cfg);
+        let snap = built.snapshot(fp);
+        assert_eq!(snap.len(), 422_101);
+        assert_eq!(fnv1a64(FNV_OFFSET, &snap), want_built);
+        let patched = built.patched(&updates, &appended);
+        patched.validate().unwrap();
+        let snap = patched.snapshot(fp);
+        assert_eq!(snap.len(), 422_781);
+        assert_eq!(fnv1a64(FNV_OFFSET, &snap), want_patched);
+    }
+
+    #[test]
+    fn graph_does_not_depend_on_the_thread_count() {
+        let (dims, data, _, _) = duplicate_rows_fixture();
+        let build = |threads| {
+            HnswIndex::build_on(threads, dims, data.clone(), small_config(Metric::Cosine))
+        };
+        let one = build(1);
+        one.validate().unwrap();
+        for threads in [2, 5] {
+            let many = build(threads);
+            assert_eq!(many.links, one.links, "{threads} threads");
+            assert_eq!((many.entry, many.max_level), (one.entry, one.max_level));
+        }
+    }
+
+    #[test]
+    fn par_map_keeps_input_order() {
+        let items: Vec<usize> = (0..1000).collect();
+        let want: Vec<usize> = items.iter().map(|i| i * 3).collect();
+        for threads in [1, 2, 5, 64] {
+            assert_eq!(par_map(&items, threads, |i| i * 3), want, "{threads} threads");
+        }
+        assert_eq!(par_map(&items[..5], 4, |i| i * 3), want[..5]);
+        assert!(par_map(&items[..0], 4, |i| i * 3).is_empty());
+    }
+
+    #[test]
+    fn validate_refuses_overfull_lists_and_self_links() {
+        let dims = 8;
+        let data = clustered(700, dims, 5, 3);
+        let build = || HnswIndex::build(dims, data.clone(), small_config(Metric::Cosine));
+        build().validate().unwrap();
+
+        let mut overfull = build();
+        let cap = overfull.m_for(0);
+        overfull.links[3][0] = (10..10 + cap as u32 + 1).collect();
+        let err = overfull.validate().unwrap_err();
+        assert_eq!(
+            err,
+            format!("vertex 3 has {} links at layer 0, over the cap of {cap}", cap + 1)
+        );
+
+        let mut selfish = build();
+        selfish.links[3][0][0] = 3;
+        let err = selfish.validate().unwrap_err();
+        assert_eq!(err, "vertex 3 links to itself at layer 0");
     }
 
     #[test]

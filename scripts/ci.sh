@@ -206,6 +206,21 @@ awk -v ms="$cold_ms" 'BEGIN {
 }' || { echo "snapshot cold start took ${cold_ms} ms (>= 1 s)" >&2; exit 1; }
 echo "out-of-core store smoke test: ok"
 
+# --- Index build smoke: the graph does not depend on the thread count -------
+# `v2v index` spreads both build phases over available_parallelism() threads;
+# pinned to one core it runs them on one. Same store in, same bytes out.
+seq 0 2399 | awk '{ print $1, ($1 + 1) % 2400; print $1, ($1 * 37 + 11) % 2400 }' \
+  > "$smoke_dir/edges-2400.txt"
+./target/release/v2v embed --input "$smoke_dir/edges-2400.txt" --output "$smoke_dir/one-core.v2s" \
+  --dims 16 --walks 2 --length 20 --epochs 1 --threads 1 --seed 3 2> /dev/null
+cp "$smoke_dir/one-core.v2s" "$smoke_dir/all-cores.v2s"
+first_cpu=$(taskset -cp $$ | sed 's/.*: //; s/[,-].*//')   # first CPU we may run on
+taskset -c "$first_cpu" ./target/release/v2v index --store "$smoke_dir/one-core.v2s" 2> /dev/null
+./target/release/v2v index --store "$smoke_dir/all-cores.v2s" 2> /dev/null
+cmp "$smoke_dir/one-core.v2s" "$smoke_dir/all-cores.v2s" \
+  || { echo "v2v index wrote different bytes on one core and on $(nproc)" >&2; exit 1; }
+echo "index thread-count smoke test: ok"
+
 # --- Durable ingest smoke: stream, SIGKILL mid-ingest, restart, recover -----
 # The crash-consistency contract in miniature: every edge the server ACKs
 # (200 from POST /ingest) must survive a kill -9, because the ACK follows
