@@ -1,8 +1,6 @@
-//! FNV-1a 64-bit hashing — the workspace's checksum primitive.
-//!
-//! Same function and constants as the V2VE v1 loader in `v2v-embed` and
-//! the checkpoint container; duplicated here (it is four lines) rather
-//! than exporting a crate-internal helper across the dependency graph.
+//! FNV-1a 64-bit hashing — the workspace's one checksum primitive: WAL
+//! records, V2VC checkpoint sections, the V2VE v1 trailer, the v2 store's
+//! header, shards and fingerprint, and HNSW snapshots all call this.
 
 /// FNV-1a 64-bit offset basis: the initial `state` for a fresh hash.
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;

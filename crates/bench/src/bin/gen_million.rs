@@ -22,25 +22,13 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use v2v_base::rng::splitmix64;
 use v2v_bench::Args;
 
-/// splitmix64: the workspace's standard seedable generator.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, bound)` (bound > 0); modulo bias is irrelevant at
-    /// these bounds vs 2^64.
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
+/// Uniform in `[0, bound)` (bound > 0); modulo bias is irrelevant at
+/// these bounds vs 2^64.
+fn below(rng: &mut u64, bound: u64) -> u64 {
+    splitmix64(rng) % bound
 }
 
 fn main() {
@@ -56,7 +44,7 @@ fn main() {
     let community = community.clamp(2, n);
     let file = File::create(&out).unwrap_or_else(|e| panic!("cannot create {out}: {e}"));
     let mut w = BufWriter::with_capacity(1 << 20, file);
-    let mut rng = SplitMix(seed);
+    let mut rng = seed;
     let mut edges: u64 = 0;
 
     let t0 = std::time::Instant::now();
@@ -72,7 +60,7 @@ fn main() {
         }
         if size > 1 {
             for _ in 0..intra {
-                let u = base + rng.below(size);
+                let u = base + below(&mut rng, size);
                 if u != v {
                     writeln!(w, "{v} {u}").expect("write edge");
                     edges += 1;
@@ -81,8 +69,8 @@ fn main() {
         }
         // ~inter_per_1k inter-community edges per 1000 vertices keeps the
         // graph globally connected without washing out community structure.
-        if rng.below(1000) < inter_per_1k {
-            let u = rng.below(n);
+        if below(&mut rng, 1000) < inter_per_1k {
+            let u = below(&mut rng, n);
             if u != v {
                 writeln!(w, "{v} {u}").expect("write edge");
                 edges += 1;

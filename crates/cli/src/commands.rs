@@ -256,12 +256,12 @@ pub fn profile(opts: &Opts) -> Result<(), String> {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let flat = v2v_obs::FlatProfile::from_json(&text)
         .map_err(|e| format!("{path} is not a v2v flat profile: {e}"))?;
-    match opts.get_str("format").unwrap_or("table") {
-        "table" => print!("{}", flat.render_table()),
-        "json" => print!("{}", flat.to_json()),
+    let rendered = match opts.get_str("format").unwrap_or("table") {
+        "table" => flat.render_table(),
+        "json" => flat.to_json(),
         other => return Err(format!("unknown --format {other:?} (table|json)")),
-    }
-    Ok(())
+    };
+    write_stdout(|out| out.write_all(rendered.as_bytes()))
 }
 
 /// `.v2s` outputs get the mmap-able shard-checksummed V2VE v2 store,
@@ -985,22 +985,25 @@ pub fn quality(opts: &Opts) -> Result<(), String> {
     let corpus = v2v_walks::WalkCorpus::generate(&graph, &config)
         .map_err(|e| e.to_string())?;
     let cs = v2v_walks::stats::corpus_stats(&corpus);
-    println!("corpus coverage:            {:.3}", cs.coverage);
-    println!("mean walk length:           {:.1}", cs.mean_walk_length);
-    println!(
-        "visit entropy:              {:.3} / {:.3} max",
-        cs.visit_entropy, cs.max_entropy
-    );
-    if !graph.is_directed() {
-        let div = v2v_walks::stats::stationary_divergence(&corpus, &graph);
-        println!("stationary divergence (TV): {div:.4}");
-    }
+    let divergence = (!graph.is_directed())
+        .then(|| v2v_walks::stats::stationary_divergence(&corpus, &graph));
     let preservation = v2v_embed::quality::neighborhood_preservation(&graph, &embedding);
-    println!("neighborhood preservation:  {preservation:.3}");
     let margin =
         v2v_embed::quality::similarity_margin(&graph, &embedding, opts.get("seed", 1u64)?);
-    println!("similarity margin:          {margin:.3}");
-    Ok(())
+    write_stdout(|out| {
+        writeln!(out, "corpus coverage:            {:.3}", cs.coverage)?;
+        writeln!(out, "mean walk length:           {:.1}", cs.mean_walk_length)?;
+        writeln!(
+            out,
+            "visit entropy:              {:.3} / {:.3} max",
+            cs.visit_entropy, cs.max_entropy
+        )?;
+        if let Some(div) = divergence {
+            writeln!(out, "stationary divergence (TV): {div:.4}")?;
+        }
+        writeln!(out, "neighborhood preservation:  {preservation:.3}")?;
+        writeln!(out, "similarity margin:          {margin:.3}")
+    })
 }
 
 /// `v2v stats`: descriptive statistics of an edge list.
@@ -1008,18 +1011,26 @@ pub fn stats(opts: &Opts) -> Result<(), String> {
     let graph = load_graph(opts)?;
     let d = v2v_graph::stats::degree_stats(&graph);
     let (_, components) = v2v_graph::traversal::connected_components(&graph);
-    println!("vertices:    {}", graph.num_vertices());
-    println!("edges:       {}", graph.num_edges());
-    println!("directed:    {}", graph.is_directed());
-    println!("weighted:    {}", graph.has_edge_weights());
-    println!("temporal:    {}", graph.has_timestamps());
-    println!("density:     {:.6}", graph.density());
-    println!("degree:      min {} / mean {:.2} / max {} (stddev {:.2})", d.min, d.mean, d.max, d.std_dev);
-    println!("components:  {components}");
-    if graph.num_vertices() <= 2000 && !graph.is_directed() {
-        println!("clustering:  {:.4}", v2v_graph::stats::average_clustering(&graph));
-    }
-    Ok(())
+    let clustering = (graph.num_vertices() <= 2000 && !graph.is_directed())
+        .then(|| v2v_graph::stats::average_clustering(&graph));
+    write_stdout(|out| {
+        writeln!(out, "vertices:    {}", graph.num_vertices())?;
+        writeln!(out, "edges:       {}", graph.num_edges())?;
+        writeln!(out, "directed:    {}", graph.is_directed())?;
+        writeln!(out, "weighted:    {}", graph.has_edge_weights())?;
+        writeln!(out, "temporal:    {}", graph.has_timestamps())?;
+        writeln!(out, "density:     {:.6}", graph.density())?;
+        writeln!(
+            out,
+            "degree:      min {} / mean {:.2} / max {} (stddev {:.2})",
+            d.min, d.mean, d.max, d.std_dev
+        )?;
+        writeln!(out, "components:  {components}")?;
+        if let Some(c) = clustering {
+            writeln!(out, "clustering:  {c:.4}")?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

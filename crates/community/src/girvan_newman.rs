@@ -3,13 +3,13 @@
 //! Repeatedly removes the edge with the highest betweenness centrality
 //! (recomputed after every removal, per the original algorithm) and tracks
 //! the connected-component partition with the best modularity. Betweenness
-//! is computed with Brandes' algorithm, parallelized over BFS sources with
-//! rayon — this is the `O(m^2 n)` baseline responsible for the hours-scale
-//! runtimes in the paper's Table I.
+//! is computed with Brandes' algorithm, parallelized over BFS sources
+//! (`v2v_base::par`) — this is the `O(m^2 n)` baseline responsible for the
+//! hours-scale runtimes in the paper's Table I.
 
 use crate::{compact_labels, Partition};
-use rayon::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use v2v_base::par;
 use v2v_graph::Graph;
 
 /// Result of a Girvan–Newman run: the best partition seen plus the order
@@ -83,41 +83,37 @@ pub fn girvan_newman(graph: &Graph, target_k: Option<usize>) -> GnResult {
     }
 }
 
-/// Edge betweenness of every current edge (Brandes 2001, unweighted),
-/// summed over all sources in parallel. Returns the max edge.
+/// The edge of highest betweenness (ties go to the smaller edge).
 fn max_betweenness_edge(adj: &[Vec<usize>]) -> (usize, usize) {
-    let n = adj.len();
-    // Dense per-thread accumulation into a map keyed by (min, max).
-    let maps: Vec<std::collections::HashMap<(usize, usize), f64>> = (0..n)
-        .into_par_iter()
-        .fold(
-            std::collections::HashMap::new,
-            |mut acc, s| {
-                brandes_from(adj, s, &mut acc);
-                acc
-            },
-        )
-        .collect();
-    let mut total: std::collections::HashMap<(usize, usize), f64> =
-        std::collections::HashMap::new();
-    for m in maps {
-        for (k, v) in m {
-            *total.entry(k).or_insert(0.0) += v;
-        }
-    }
-    total
+    edge_betweenness(par::threads(), adj)
         .into_iter()
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)))
         .map(|(e, _)| e)
         .expect("graph has at least one edge")
 }
 
+/// Edge betweenness of every current edge (Brandes 2001, unweighted),
+/// keyed by `(min, max)`: one map per block of sources, the maps summed
+/// in block order.
+fn edge_betweenness(threads: usize, adj: &[Vec<usize>]) -> HashMap<(usize, usize), f64> {
+    let maps = par::blocks_on(threads, adj.len(), |sources| {
+        let mut acc = HashMap::new();
+        for s in sources {
+            brandes_from(adj, s, &mut acc);
+        }
+        acc
+    });
+    let mut total = HashMap::new();
+    for m in maps {
+        for (k, v) in m {
+            *total.entry(k).or_insert(0.0) += v;
+        }
+    }
+    total
+}
+
 /// Single-source Brandes pass accumulating edge dependencies into `acc`.
-fn brandes_from(
-    adj: &[Vec<usize>],
-    s: usize,
-    acc: &mut std::collections::HashMap<(usize, usize), f64>,
-) {
+fn brandes_from(adj: &[Vec<usize>], s: usize, acc: &mut HashMap<(usize, usize), f64>) {
     let n = adj.len();
     let mut sigma = vec![0.0f64; n]; // shortest-path counts
     let mut dist = vec![usize::MAX; n];
@@ -247,6 +243,24 @@ mod tests {
             }
         }
         assert!(agree as f64 / total as f64 > 0.95);
+    }
+
+    #[test]
+    fn betweenness_bits_do_not_depend_on_the_thread_count() {
+        let (g, _) = generators::planted_partition(48, 3, 0.7, 0.05, 11);
+        let mut adj = vec![Vec::new(); g.num_vertices()];
+        for e in g.edges() {
+            adj[e.source.index()].push(e.target.index());
+            adj[e.target.index()].push(e.source.index());
+        }
+        let bits = |threads| -> std::collections::BTreeMap<(usize, usize), u64> {
+            edge_betweenness(threads, &adj).into_iter().map(|(e, b)| (e, b.to_bits())).collect()
+        };
+        let one = bits(1);
+        assert_eq!(one.len(), g.num_edges());
+        for threads in [2, 5] {
+            assert_eq!(bits(threads), one, "{threads} threads");
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use crate::embedding::Embedding;
 use std::io::{Read, Write};
+use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 
 /// File magic: "V2V Embedding".
 pub const MAGIC: [u8; 4] = *b"V2VE";
@@ -53,19 +54,6 @@ impl From<std::io::Error> for BinaryIoError {
         BinaryIoError::Io(e)
     }
 }
-
-/// FNV-1a 64-bit over `bytes`, seeded by `state` (chainable).
-pub(crate) fn fnv1a64(state: u64, bytes: &[u8]) -> u64 {
-    let mut hash = state;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// The FNV-1a offset basis (the checksum's initial state).
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// Whether `head` starts with the binary-embedding magic (format sniffing
 /// for loaders that accept both text and binary files).

@@ -30,9 +30,10 @@
 //! flight) is pinpointed to the section it corrupts. Unknown tags are
 //! skipped if their checksum holds, so old readers survive new sections.
 
-use crate::binary::{fnv1a64, BinaryIoError, FNV_OFFSET};
+use crate::binary::BinaryIoError;
 use crate::config::{Architecture, EmbedConfig, OutputLayer};
 use std::path::{Path, PathBuf};
+use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 
 /// Checkpoint file magic: "V2V Checkpoint".
 pub const MAGIC: [u8; 4] = *b"V2VC";

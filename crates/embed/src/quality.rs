@@ -7,7 +7,7 @@
 //! signal.
 
 use crate::embedding::Embedding;
-use rayon::prelude::*;
+use v2v_base::par;
 use v2v_graph::{Graph, VertexId};
 
 /// Mean neighborhood preservation: for each vertex `v` with degree `d`,
@@ -18,28 +18,20 @@ use v2v_graph::{Graph, VertexId};
 /// Isolated vertices are skipped; returns `0` if every vertex is isolated.
 pub fn neighborhood_preservation(graph: &Graph, embedding: &Embedding) -> f64 {
     assert_eq!(graph.num_vertices(), embedding.len(), "graph/embedding size mismatch");
-    let results: Vec<f64> = (0..graph.num_vertices())
-        .into_par_iter()
-        .filter_map(|i| {
-            let v = VertexId::from_index(i);
-            let mut nbrs: Vec<VertexId> = graph.neighbors(v).to_vec();
-            nbrs.sort_unstable();
-            nbrs.dedup();
-            nbrs.retain(|&u| u != v);
-            if nbrs.is_empty() {
-                return None;
-            }
-            let top = embedding.most_similar(v, nbrs.len());
-            let hits =
-                top.iter().filter(|(u, _)| nbrs.binary_search(u).is_ok()).count();
-            Some(hits as f64 / nbrs.len() as f64)
-        })
-        .collect();
-    if results.is_empty() {
-        0.0
-    } else {
-        results.iter().sum::<f64>() / results.len() as f64
-    }
+    let results: Vec<Option<f64>> = par::map(graph.num_vertices(), |i| {
+        let v = VertexId::from_index(i);
+        let mut nbrs: Vec<VertexId> = graph.neighbors(v).to_vec();
+        nbrs.sort_unstable();
+        nbrs.dedup();
+        nbrs.retain(|&u| u != v);
+        if nbrs.is_empty() {
+            return None;
+        }
+        let top = embedding.most_similar(v, nbrs.len());
+        let hits = top.iter().filter(|(u, _)| nbrs.binary_search(u).is_ok()).count();
+        Some(hits as f64 / nbrs.len() as f64)
+    });
+    mean_of_some(&results)
 }
 
 /// Mean margin between a vertex's similarity to its graph neighbors and
@@ -52,42 +44,45 @@ pub fn similarity_margin(graph: &Graph, embedding: &Embedding, seed: u64) -> f64
     if n < 3 {
         return 0.0;
     }
-    let results: Vec<f64> = (0..n)
-        .into_par_iter()
-        .filter_map(|i| {
-            let v = VertexId::from_index(i);
-            let nbrs = graph.neighbors(v);
-            if nbrs.is_empty() {
-                return None;
+    let results: Vec<Option<f64>> = par::map(n, |i| {
+        let v = VertexId::from_index(i);
+        let nbrs = graph.neighbors(v);
+        if nbrs.is_empty() {
+            return None;
+        }
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ (i as u64) << 1);
+        let pos: f64 = nbrs
+            .iter()
+            .map(|&u| embedding.cosine_similarity(v, u) as f64)
+            .sum::<f64>()
+            / nbrs.len() as f64;
+        let mut neg_sum = 0.0;
+        let mut neg_count = 0;
+        let mut attempts = 0;
+        while neg_count < nbrs.len() && attempts < nbrs.len() * 50 {
+            attempts += 1;
+            let u = VertexId(rng.gen_range(0..n as u32));
+            if u == v || graph.has_edge(v, u) {
+                continue;
             }
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ (i as u64) << 1);
-            let pos: f64 = nbrs
-                .iter()
-                .map(|&u| embedding.cosine_similarity(v, u) as f64)
-                .sum::<f64>()
-                / nbrs.len() as f64;
-            let mut neg_sum = 0.0;
-            let mut neg_count = 0;
-            let mut attempts = 0;
-            while neg_count < nbrs.len() && attempts < nbrs.len() * 50 {
-                attempts += 1;
-                let u = VertexId(rng.gen_range(0..n as u32));
-                if u == v || graph.has_edge(v, u) {
-                    continue;
-                }
-                neg_sum += embedding.cosine_similarity(v, u) as f64;
-                neg_count += 1;
-            }
-            if neg_count == 0 {
-                return None;
-            }
-            Some(pos - neg_sum / neg_count as f64)
-        })
-        .collect();
-    if results.is_empty() {
+            neg_sum += embedding.cosine_similarity(v, u) as f64;
+            neg_count += 1;
+        }
+        if neg_count == 0 {
+            return None;
+        }
+        Some(pos - neg_sum / neg_count as f64)
+    });
+    mean_of_some(&results)
+}
+
+/// Mean of the `Some` entries, in order; `0` when there are none.
+fn mean_of_some(results: &[Option<f64>]) -> f64 {
+    let kept: Vec<f64> = results.iter().flatten().copied().collect();
+    if kept.is_empty() {
         0.0
     } else {
-        results.iter().sum::<f64>() / results.len() as f64
+        kept.iter().sum::<f64>() / kept.len() as f64
     }
 }
 

@@ -596,9 +596,9 @@ fn resolve_workers(threads: usize, walks: usize) -> usize {
 
 /// One Hogwild epoch on explicit scoped workers.
 ///
-/// The walk list splits into one contiguous chunk per worker (the same
-/// static split the previous `par_iter` implementation used, and with the
-/// same *global* walk indexes, so per-walk RNG streams are unchanged).
+/// The walk list splits into one contiguous static chunk per worker; walks
+/// keep their *global* indexes, so per-walk RNG streams do not depend on
+/// the split.
 /// Each worker records into its own cache-line-padded [`WorkerTable`]
 /// slot: pairs and walks as it goes, busy time and hardware counters per
 /// chunk, and — computed by the parent after the join — how long it sat

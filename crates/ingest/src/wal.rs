@@ -33,6 +33,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 use v2v_fault::inject::{self, Fault};
 
 /// Segment-file magic: "V2V Wal Log".
@@ -97,15 +98,6 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Serializes one record into its fixed 45-byte on-disk form.
 pub fn encode_record(rec: &WalRecord) -> [u8; RECORD_BYTES] {
     let mut out = [0u8; RECORD_BYTES];
@@ -115,7 +107,7 @@ pub fn encode_record(rec: &WalRecord) -> [u8; RECORD_BYTES] {
     out[24..28].copy_from_slice(&rec.edge.weight.to_bits().to_le_bytes());
     out[28..36].copy_from_slice(&rec.edge.timestamp.unwrap_or(0).to_le_bytes());
     out[36] = u8::from(rec.edge.timestamp.is_some());
-    let sum = fnv1a64(&out[..37]);
+    let sum = fnv1a64(FNV_OFFSET, &out[..37]);
     out[37..45].copy_from_slice(&sum.to_le_bytes());
     out
 }
@@ -128,7 +120,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<WalRecord> {
         return None;
     }
     let stored = u64::from_le_bytes(bytes[37..45].try_into().unwrap());
-    if stored != fnv1a64(&bytes[..37]) {
+    if stored != fnv1a64(FNV_OFFSET, &bytes[..37]) {
         return None;
     }
     let flags = bytes[36];

@@ -5,7 +5,7 @@
 //! which matches what PCA needs (only eigenvector directions matter).
 
 use crate::matrix::RowMatrix;
-use rayon::prelude::*;
+use v2v_base::par;
 
 /// Per-column means of `m`. Empty matrix yields an empty vector.
 pub fn column_means(m: &RowMatrix) -> Vec<f64> {
@@ -40,46 +40,45 @@ pub fn center(m: &RowMatrix) -> (RowMatrix, Vec<f64>) {
 
 /// Population covariance matrix (`d x d`) of the rows of `m`.
 ///
-/// Computed as `X_c^T X_c / n` on the centered matrix. Row blocks are
-/// accumulated in parallel (rayon) and reduced, which is the dominant cost
-/// for the paper's 1000-vertex x 600-dim settings.
+/// Computed as `X_c^T X_c / n` on the centered matrix, which is the
+/// dominant cost for the paper's 1000-vertex x 600-dim settings. Bands of
+/// output rows are computed in parallel (`v2v_base::par`): each cell sums
+/// over the samples in row order on one thread, so nothing is reduced
+/// across threads and the bits do not depend on how many there are.
 pub fn covariance(m: &RowMatrix) -> RowMatrix {
+    covariance_on(par::threads(), m)
+}
+
+/// [`covariance`] on a given number of threads; the matrix is the same for
+/// every count.
+fn covariance_on(threads: usize, m: &RowMatrix) -> RowMatrix {
     let d = m.cols();
     let n = m.rows();
     if n == 0 {
         return RowMatrix::zeros(d, d);
     }
     let (centered, _) = center(m);
-    let flat: Vec<f64> = (0..n)
-        .into_par_iter()
-        .fold(
-            || vec![0.0f64; d * d],
-            |mut acc, i| {
-                let r = centered.row(i);
-                // Accumulate the upper triangle only; mirror afterwards.
-                for a in 0..d {
-                    let ra = r[a];
-                    if ra == 0.0 {
-                        continue;
-                    }
-                    let base = a * d;
-                    for b in a..d {
-                        acc[base + b] += ra * r[b];
-                    }
+    // One job per band of output rows, upper triangle only. A band reads
+    // every sample once, so wider bands mean fewer passes over the matrix;
+    // `MIN_ITEMS` bands is what it takes for `par::map` to use its threads.
+    let band = (d / par::MIN_ITEMS).max(1);
+    let bands: Vec<Vec<f64>> = par::map_on(threads, d.div_ceil(band), |t| {
+        let rows = t * band..((t + 1) * band).min(d);
+        let mut acc = vec![0.0f64; rows.len() * d];
+        for r in centered.iter_rows() {
+            for (a, acc_row) in rows.clone().zip(acc.chunks_exact_mut(d)) {
+                let ra = r[a];
+                if ra == 0.0 {
+                    continue;
                 }
-                acc
-            },
-        )
-        .reduce(
-            || vec![0.0f64; d * d],
-            |mut x, y| {
-                for (xi, yi) in x.iter_mut().zip(y) {
-                    *xi += yi;
+                for (x, rb) in acc_row[a..].iter_mut().zip(&r[a..]) {
+                    *x += ra * rb;
                 }
-                x
-            },
-        );
-    let mut cov = RowMatrix::from_flat(d, d, flat);
+            }
+        }
+        acc
+    });
+    let mut cov = RowMatrix::from_flat(d, d, bands.concat());
     let inv_n = 1.0 / n as f64;
     for a in 0..d {
         for b in a..d {
@@ -152,6 +151,25 @@ mod tests {
         let cov = covariance(&m);
         assert_eq!(cov.rows(), 3);
         assert_eq!(cov.frobenius_norm(), 0.0);
+    }
+
+    #[test]
+    fn covariance_bits_do_not_depend_on_the_thread_count() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        // 16 columns run inline; 64 go through the worker threads.
+        for d in [16, 64] {
+            let n = 1000;
+            let m =
+                RowMatrix::from_flat(n, d, (0..n * d).map(|_| rng.gen_range(-1.0..1.0)).collect());
+            let bits = |threads| -> Vec<u64> {
+                covariance_on(threads, &m).as_flat().iter().map(|x| x.to_bits()).collect()
+            };
+            let one = bits(1);
+            for threads in [2, 5] {
+                assert_eq!(bits(threads), one, "{d} columns, {threads} threads");
+            }
+        }
     }
 
     #[test]

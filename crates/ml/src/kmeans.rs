@@ -3,11 +3,13 @@
 //! V2V's community detection (§III) clusters the vertex embeddings with
 //! k-means, restarting Lloyd's algorithm 100 times and keeping the
 //! partition with the smallest within-cluster sum of squares. Assignment is
-//! the hot step and is parallelized over points with rayon.
+//! the hot step and is parallelized over points (`v2v_base::par`); the
+//! objective is then summed in point order, so it has the same bits on
+//! every host.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use v2v_base::par;
 use v2v_linalg::vector::euclidean_sq;
 use v2v_linalg::RowMatrix;
 
@@ -76,6 +78,12 @@ pub struct KMeansResult {
 /// # Panics
 /// Panics if `k` is zero or exceeds the number of points.
 pub fn kmeans(data: &RowMatrix, config: &KMeansConfig) -> KMeansResult {
+    kmeans_on(par::threads(), data, config)
+}
+
+/// [`kmeans`] on a given number of threads; the result is the same for
+/// every count.
+fn kmeans_on(threads: usize, data: &RowMatrix, config: &KMeansConfig) -> KMeansResult {
     let n = data.rows();
     assert!(config.k >= 1, "k must be positive");
     assert!(config.k <= n, "k = {} exceeds {} points", config.k, n);
@@ -85,7 +93,7 @@ pub fn kmeans(data: &RowMatrix, config: &KMeansConfig) -> KMeansResult {
     let mut best: Option<KMeansResult> = None;
     for r in 0..config.restarts {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64 * 0x9E37));
-        let result = lloyd_once(data, config, &mut rng);
+        let result = lloyd_once(threads, data, config, &mut rng);
         if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
             best = Some(result);
         }
@@ -93,7 +101,12 @@ pub fn kmeans(data: &RowMatrix, config: &KMeansConfig) -> KMeansResult {
     best.expect("at least one restart ran")
 }
 
-fn lloyd_once(data: &RowMatrix, config: &KMeansConfig, rng: &mut StdRng) -> KMeansResult {
+fn lloyd_once(
+    threads: usize,
+    data: &RowMatrix,
+    config: &KMeansConfig,
+    rng: &mut StdRng,
+) -> KMeansResult {
     let n = data.rows();
     let d = data.cols();
     let k = config.k;
@@ -110,27 +123,24 @@ fn lloyd_once(data: &RowMatrix, config: &KMeansConfig, rng: &mut StdRng) -> KMea
     for iter in 0..config.max_iters {
         iterations = iter + 1;
         // Assignment step (parallel over points).
-        let inertia: f64 = {
-            let centroids = &centroids;
-            assignments
-                .par_iter_mut()
-                .enumerate()
-                .map(|(i, a)| {
-                    let p = data.row(i);
-                    let mut best_c = 0usize;
-                    let mut best_d = f64::INFINITY;
-                    for c in 0..k {
-                        let dist = euclidean_sq(p, centroids.row(c));
-                        if dist < best_d {
-                            best_d = dist;
-                            best_c = c;
-                        }
-                    }
-                    *a = best_c;
-                    best_d
-                })
-                .sum()
-        };
+        let nearest = par::map_on(threads, n, |i| {
+            let p = data.row(i);
+            let mut best_c = 0usize;
+            let mut best_d = f64::INFINITY;
+            for c in 0..k {
+                let dist = euclidean_sq(p, centroids.row(c));
+                if dist < best_d {
+                    best_d = dist;
+                    best_c = c;
+                }
+            }
+            (best_c, best_d)
+        });
+        let mut inertia = 0.0;
+        for (a, (c, dist)) in assignments.iter_mut().zip(nearest) {
+            *a = c;
+            inertia += dist;
+        }
 
         // Update step.
         let mut sums = RowMatrix::zeros(k, d);
@@ -291,13 +301,15 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_for_fixed_seed() {
+    fn deterministic_for_fixed_seed_on_any_thread_count() {
         let (data, _) = blobs(4);
         let cfg = KMeansConfig { k: 3, ..Default::default() };
         let a = kmeans(&data, &cfg);
-        let b = kmeans(&data, &cfg);
-        assert_eq!(a.assignments, b.assignments);
-        assert_eq!(a.inertia, b.inertia);
+        for threads in [1, 2, 5] {
+            let b = kmeans_on(threads, &data, &cfg);
+            assert_eq!(a.assignments, b.assignments, "{threads} threads");
+            assert_eq!(a.inertia.to_bits(), b.inertia.to_bits(), "{threads} threads");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`NeighborSearch`], so a sub-linear ANN index (`v2v-serve`'s HNSW)
 //! can stand in for the exact scan via [`KnnClassifier::predict_with`].
 
-use rayon::prelude::*;
+use v2v_base::par;
 use v2v_linalg::vector::{cosine_distance, euclidean_sq};
 use v2v_linalg::RowMatrix;
 
@@ -119,10 +119,7 @@ impl<'a> KnnClassifier<'a> {
 
     /// Predicts a batch of queries in parallel.
     pub fn predict_batch(&self, queries: &RowMatrix, k: usize) -> Vec<usize> {
-        (0..queries.rows())
-            .into_par_iter()
-            .map(|i| self.predict(queries.row(i), k))
-            .collect()
+        par::map(queries.rows(), |i| self.predict(queries.row(i), k))
     }
 }
 

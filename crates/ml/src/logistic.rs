@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use v2v_base::par;
 use v2v_linalg::RowMatrix;
 
 /// Training hyper-parameters.
@@ -44,6 +44,12 @@ impl LogisticRegression {
     /// # Panics
     /// Panics on empty data, mismatched lengths, or fewer than 2 classes.
     pub fn fit(data: &RowMatrix, labels: &[usize], config: &LogisticConfig) -> Self {
+        Self::fit_on(par::threads(), data, labels, config)
+    }
+
+    /// [`fit`](Self::fit) on a given number of threads; the weights are the
+    /// same for every count.
+    fn fit_on(threads: usize, data: &RowMatrix, labels: &[usize], config: &LogisticConfig) -> Self {
         let n = data.rows();
         let d = data.cols();
         assert_eq!(n, labels.len(), "one label per row");
@@ -60,34 +66,32 @@ impl LogisticRegression {
 
         let inv_n = 1.0 / n as f64;
         for _ in 0..config.iterations {
-            // Per-sample gradient contributions, reduced in parallel.
-            let grad: Vec<f64> = (0..n)
-                .into_par_iter()
-                .fold(
-                    || vec![0.0f64; k * (d + 1)],
-                    |mut g, i| {
-                        let x = data.row(i);
-                        let p = softmax_scores(&weights, x);
-                        for (c, &pc) in p.iter().enumerate() {
-                            let err = pc - f64::from(labels[i] == c);
-                            let base = c * (d + 1);
-                            for (j, &xj) in x.iter().enumerate() {
-                                g[base + j] += err * xj;
-                            }
-                            g[base + d] += err; // bias
+            // Per-sample gradient contributions: one partial gradient per
+            // block of samples, added up in block order.
+            let grad: Vec<f64> = par::blocks_on(threads, n, |samples| {
+                let mut g = vec![0.0f64; k * (d + 1)];
+                for i in samples {
+                    let x = data.row(i);
+                    let p = softmax_scores(&weights, x);
+                    for (c, &pc) in p.iter().enumerate() {
+                        let err = pc - f64::from(labels[i] == c);
+                        let base = c * (d + 1);
+                        for (j, &xj) in x.iter().enumerate() {
+                            g[base + j] += err * xj;
                         }
-                        g
-                    },
-                )
-                .reduce(
-                    || vec![0.0f64; k * (d + 1)],
-                    |mut a, b| {
-                        for (ai, bi) in a.iter_mut().zip(b) {
-                            *ai += bi;
-                        }
-                        a
-                    },
-                );
+                        g[base + d] += err; // bias
+                    }
+                }
+                g
+            })
+            .into_iter()
+            .reduce(|mut a, b| {
+                for (ai, bi) in a.iter_mut().zip(b) {
+                    *ai += bi;
+                }
+                a
+            })
+            .expect("n > 0, so there is a block");
             for c in 0..k {
                 let row = weights.row_mut(c);
                 for (j, w) in row.iter_mut().enumerate() {
@@ -117,7 +121,7 @@ impl LogisticRegression {
 
     /// Predicts a batch in parallel.
     pub fn predict_batch(&self, data: &RowMatrix) -> Vec<usize> {
-        (0..data.rows()).into_par_iter().map(|i| self.predict(data.row(i))).collect()
+        par::map(data.rows(), |i| self.predict(data.row(i)))
     }
 
     /// Mean cross-entropy on a labeled set (useful to monitor fit).
@@ -191,6 +195,20 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
+    }
+
+    #[test]
+    fn weights_do_not_depend_on_the_thread_count() {
+        let (data, labels) = blobs();
+        let cfg = LogisticConfig { iterations: 20, ..Default::default() };
+        let bits = |threads| -> Vec<u64> {
+            let model = LogisticRegression::fit_on(threads, &data, &labels, &cfg);
+            model.weights.as_flat().iter().map(|w| w.to_bits()).collect()
+        };
+        let one = bits(1);
+        for threads in [2, 5] {
+            assert_eq!(bits(threads), one, "{threads} threads");
+        }
     }
 
     #[test]

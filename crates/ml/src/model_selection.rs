@@ -10,7 +10,7 @@
 //!   heuristic.
 
 use crate::kmeans::{kmeans, KMeansConfig};
-use rayon::prelude::*;
+use v2v_base::par;
 use v2v_linalg::vector::euclidean;
 use v2v_linalg::RowMatrix;
 
@@ -37,32 +37,29 @@ pub fn silhouette_score(data: &RowMatrix, assignments: &[usize]) -> f64 {
         s
     };
 
-    let total: f64 = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let own = assignments[i];
-            if sizes[own] <= 1 {
-                return 0.0;
+    let per_point: Vec<f64> = par::map(n, |i| {
+        let own = assignments[i];
+        if sizes[own] <= 1 {
+            return 0.0;
+        }
+        // Mean distance from i to each cluster.
+        let mut sums = vec![0.0f64; k];
+        for j in 0..n {
+            if i != j {
+                sums[assignments[j]] += euclidean(data.row(i), data.row(j));
             }
-            // Mean distance from i to each cluster.
-            let mut sums = vec![0.0f64; k];
-            for j in 0..n {
-                if i != j {
-                    sums[assignments[j]] += euclidean(data.row(i), data.row(j));
-                }
-            }
-            let a = sums[own] / (sizes[own] - 1) as f64;
-            let b = (0..k)
-                .filter(|&c| c != own && sizes[c] > 0)
-                .map(|c| sums[c] / sizes[c] as f64)
-                .fold(f64::INFINITY, f64::min);
-            if !b.is_finite() {
-                return 0.0;
-            }
-            (b - a) / a.max(b).max(f64::MIN_POSITIVE)
-        })
-        .sum();
-    total / n as f64
+        }
+        let a = sums[own] / (sizes[own] - 1) as f64;
+        let b = (0..k)
+            .filter(|&c| c != own && sizes[c] > 0)
+            .map(|c| sums[c] / sizes[c] as f64)
+            .fold(f64::INFINITY, f64::min);
+        if !b.is_finite() {
+            return 0.0;
+        }
+        (b - a) / a.max(b).max(f64::MIN_POSITIVE)
+    });
+    per_point.iter().sum::<f64>() / n as f64
 }
 
 /// Sweeps `k` over `candidates`, clustering each with `base` (its `k`

@@ -19,6 +19,7 @@
 
 use crate::json;
 use std::collections::BTreeSet;
+use v2v_base::rng::splitmix64;
 
 /// Knobs shared by the online sentinel and the offline differ.
 #[derive(Clone, Copy, Debug)]
@@ -39,15 +40,6 @@ impl Default for QualityConfig {
     }
 }
 
-/// splitmix64: advances `state` and returns a well-mixed 64-bit draw.
-fn next_rand(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Samples `k` distinct indices from `0..n` with Algorithm R seeded by
 /// `seed`. Deterministic: the same `(n, k, seed)` always yields the same
 /// sorted set, so a restarted process probes the same canaries.
@@ -59,7 +51,7 @@ pub fn canary_sample(n: usize, k: usize, seed: u64) -> Vec<usize> {
     }
     let mut state = seed;
     for i in k..n {
-        let j = (next_rand(&mut state) % (i as u64 + 1)) as usize;
+        let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
         if j < k {
             reservoir[j] = i;
         }
@@ -476,7 +468,7 @@ mod tests {
         let a: Vec<f32> = (0..32 * dims)
             .map(|i| {
                 let sign = if (i / dims) % 2 == 0 { 1.0 } else { -1.0 };
-                sign + (next_rand(&mut state) % 1000) as f32 / 10_000.0
+                sign + (splitmix64(&mut state) % 1000) as f32 / 10_000.0
             })
             .collect();
         let mut b = a.clone();

@@ -59,13 +59,6 @@ impl Default for TraceCtx {
     }
 }
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// A fresh 16-hex-character request ID, unique within this process.
 pub fn gen_request_id() -> String {
     static SEED: OnceLock<u64> = OnceLock::new();
@@ -78,7 +71,7 @@ pub fn gen_request_id() -> String {
         nanos ^ (std::process::id() as u64).rotate_left(32)
     });
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    format!("{:016x}", splitmix64(seed ^ n))
+    format!("{:016x}", v2v_base::rng::mix(seed ^ n))
 }
 
 #[cfg(test)]

@@ -1181,7 +1181,7 @@ mod tests {
     /// and the index is rebuilt — the store still serves.
     #[test]
     fn sharded_v2_snapshot_is_refused_and_rebuilt() {
-        use v2v_store::hash::{fnv1a64, FNV_OFFSET};
+        use v2v_base::hash::{fnv1a64, FNV_OFFSET};
         let dir = std::env::temp_dir().join(format!("v2v_api_v2snap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sharded.v2s");

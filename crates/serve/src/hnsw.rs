@@ -21,7 +21,7 @@
 //! * **Batched parallel build** — insertion order is sequential in
 //!   HNSW's description; here construction runs in doubling rounds of two
 //!   phases, both spread over `available_parallelism()` scoped threads by
-//!   one helper (`par_map`, results in input order). The *search phase*
+//!   `v2v_base::par::map` (results in input order). The *search phase*
 //!   plans every new vertex of the round against the frozen graph. Round
 //!   `r` therefore can't see its own members, but reverse links still
 //!   stitch them in, and each round doubles the graph so the "blind"
@@ -55,8 +55,9 @@ use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+use v2v_base::hash::{fnv1a64, FNV_OFFSET};
+use v2v_base::par;
 use v2v_embed::Embedding;
 use v2v_linalg::kernels;
 
@@ -145,43 +146,6 @@ struct Push {
     dist: f32,
 }
 
-/// Rounds smaller than this run on the calling thread.
-const PAR_MIN_ITEMS: usize = 32;
-
-/// `items.iter().map(f).collect()` over `threads` scoped threads. Workers
-/// claim blocks off a shared counter (a beam search or a list fold costs
-/// what its neighborhood costs, so equal shares would not be equal work;
-/// `Relaxed`, the counter publishes nothing but block numbers) and the
-/// blocks are put back in input order: the result never depends on
-/// scheduling or on `threads`.
-fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if threads < 2 || items.len() < PAR_MIN_ITEMS {
-        return items.iter().map(f).collect();
-    }
-    let block = (items.len() / (threads * 8)).max(1);
-    let next = AtomicUsize::new(0);
-    let mut blocks: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let lo = next.fetch_add(block, Ordering::Relaxed);
-                        if lo >= items.len() {
-                            return mine;
-                        }
-                        let hi = (lo + block).min(items.len());
-                        mine.push((lo, items[lo..hi].iter().map(&f).collect()));
-                    }
-                })
-            })
-            .collect();
-        workers.into_iter().flat_map(|w| w.join().expect("index build worker panicked")).collect()
-    });
-    blocks.sort_unstable_by_key(|&(lo, _)| lo);
-    blocks.into_iter().flat_map(|(_, out)| out).collect()
-}
-
 /// Algorithm 4's diversity heuristic: walk candidates nearest-first and
 /// keep one only if it is closer to the base vertex than to every
 /// neighbor already kept; backfill with the nearest discards.
@@ -261,8 +225,7 @@ impl HnswIndex {
     /// Panics if `dims == 0`, the buffer is not a multiple of `dims`, or
     /// `config.m < 2`.
     pub fn build(dims: usize, vectors: Vec<f32>, config: HnswConfig) -> HnswIndex {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        HnswIndex::build_on(threads, dims, vectors, config)
+        HnswIndex::build_on(par::threads(), dims, vectors, config)
     }
 
     /// [`build`](HnswIndex::build) on a given number of threads; the
@@ -591,8 +554,7 @@ impl HnswIndex {
         let mut inserted = 1usize;
         while inserted < n {
             let round = inserted.min(n - inserted);
-            let batch: Vec<usize> = (inserted..inserted + round).collect();
-            let plans = par_map(&batch, threads, |&id| self.plan_insert(id));
+            let plans = par::map_on(threads, round, |i| self.plan_insert(inserted + i));
             self.apply_round(plans, threads);
             inserted += round;
         }
@@ -673,7 +635,7 @@ impl HnswIndex {
         pushes.sort_by_key(|p| (p.target, p.layer));
         let groups: Vec<&[Push]> =
             pushes.chunk_by(|a, b| (a.target, a.layer) == (b.target, b.layer)).collect();
-        let lists = par_map(&groups, threads, |group| self.fold_pushes(group));
+        let lists = par::map_on(threads, groups.len(), |i| self.fold_pushes(groups[i]));
         for (group, list) in groups.iter().zip(lists) {
             if let Some(list) = list {
                 self.links[group[0].target as usize][group[0].layer as usize] = list;
@@ -897,7 +859,6 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// dimensionality. `ef_search` is deliberately excluded — it only affects
 /// queries, so retuning it must not invalidate a snapshot.
 pub fn build_fingerprint(config: &HnswConfig, dims: usize) -> u64 {
-    use v2v_store::hash::{fnv1a64, FNV_OFFSET};
     let metric_tag = match config.metric {
         Metric::Cosine => 0u64,
         Metric::Euclidean => 1u64,
@@ -979,7 +940,7 @@ impl HnswIndex {
                 }
             }
         }
-        let sum = v2v_store::hash::fnv1a64(v2v_store::hash::FNV_OFFSET, &out);
+        let sum = fnv1a64(FNV_OFFSET, &out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
@@ -1009,7 +970,7 @@ impl HnswIndex {
         }
         let body = &bytes[..bytes.len() - 8];
         let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        let computed = v2v_store::hash::fnv1a64(v2v_store::hash::FNV_OFFSET, body);
+        let computed = fnv1a64(FNV_OFFSET, body);
         if stored != computed {
             return Err(format!(
                 "snapshot checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
@@ -1346,7 +1307,6 @@ mod tests {
     /// snapshot, so neither the fingerprint nor a snapshot byte may move.
     #[test]
     fn default_fingerprint_and_snapshot_bytes_are_pinned() {
-        use v2v_store::hash::{fnv1a64, FNV_OFFSET};
         assert_eq!(build_fingerprint(&HnswConfig::default(), 64), 0x8d71_9da0_d9ac_6225);
         // Integer coordinates under squared Euclidean: every distance is
         // exact in f32 whatever the summation order, so the graph — and
@@ -1365,6 +1325,7 @@ mod tests {
     /// 3 000 clustered rows, every 7th row from 700 on an exact copy of
     /// an earlier one (zero distances and exact distance ties), and a
     /// patch over them: 40 moved rows, 5 appended.
+    #[allow(clippy::type_complexity)]
     fn duplicate_rows_fixture() -> (usize, Vec<f32>, Vec<(usize, Vec<f32>)>, Vec<f32>) {
         let (n, dims) = (3000, 16);
         let mut data = clustered(n, dims, 24, 0xD0B1E);
@@ -1394,7 +1355,6 @@ mod tests {
     /// unpinned).
     #[test]
     fn cosine_build_and_patch_snapshot_bytes_are_pinned() {
-        use v2v_store::hash::{fnv1a64, FNV_OFFSET};
         let (want_built, want_patched) = match kernels::backend() {
             kernels::Backend::Avx2Fma => (0x96ca_88fb_9ebe_0236, 0xa618_e1f1_ddac_6001),
             kernels::Backend::Scalar => (0xb0c2_4b84_dcae_2510, 0x045b_7430_b927_7352),
@@ -1427,17 +1387,6 @@ mod tests {
             assert_eq!(many.links, one.links, "{threads} threads");
             assert_eq!((many.entry, many.max_level), (one.entry, one.max_level));
         }
-    }
-
-    #[test]
-    fn par_map_keeps_input_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        let want: Vec<usize> = items.iter().map(|i| i * 3).collect();
-        for threads in [1, 2, 5, 64] {
-            assert_eq!(par_map(&items, threads, |i| i * 3), want, "{threads} threads");
-        }
-        assert_eq!(par_map(&items[..5], 4, |i| i * 3), want[..5]);
-        assert!(par_map(&items[..0], 4, |i| i * 3).is_empty());
     }
 
     #[test]

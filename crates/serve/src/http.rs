@@ -374,11 +374,7 @@ pub fn retry_after_secs(depth: usize, capacity: usize, salt: u64) -> u64 {
     // beyond it.
     let over = depth.saturating_sub(capacity) as u64;
     let scaled = 1 + over.saturating_mul(4) / capacity.max(1) as u64;
-    // splitmix64 finalizer: cheap, well-mixed deterministic jitter.
-    let mut z = salt.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    let jitter = (z ^ (z >> 31)) % 3;
+    let jitter = v2v_base::rng::mix(salt) % 3;
     (scaled + jitter).clamp(1, 30)
 }
 
@@ -1065,6 +1061,6 @@ mod tests {
         assert!(base.iter().all(|&s| (1..=3).contains(&s)), "jitter exceeded 2s: {base:?}");
         assert!(base.iter().any(|&s| s != base[0]), "jitter never varied: {base:?}");
         // The header renders as bare integer seconds.
-        assert_eq!(retry_after_secs(0, 1024, 0).to_string().parse::<u64>().unwrap() >= 1, true);
+        assert!(retry_after_secs(0, 1024, 0).to_string().parse::<u64>().unwrap() >= 1);
     }
 }

@@ -41,6 +41,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use v2v_base::rng::mix;
 use v2v_embed::{fine_tune, EmbedConfig, Embedding};
 use v2v_graph::{DeltaGraph, GraphBuilder, VertexId};
 use v2v_ingest::{EdgeUpdate, Wal, WalRecord};
@@ -312,15 +313,6 @@ fn parse_edges(body: &[u8], vertex_limit: u64) -> Result<Vec<EdgeUpdate>, String
         edges.push(EdgeUpdate { src, dst, weight, timestamp });
     }
     Ok(edges)
-}
-
-/// SplitMix64 — the per-walk seed derivation (matches the workspace's
-/// deterministic-seeding idiom).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The refresh worker's private state: the graph overlay, the full

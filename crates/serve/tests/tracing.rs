@@ -19,13 +19,13 @@ fn test_state() -> Arc<ServeState> {
     Arc::new(ServeState::new(embedding, HnswConfig::default(), None).unwrap())
 }
 
-/// One raw exchange; returns (status, headers lowercased, body). Asks
+/// One parsed response: (status, headers lowercased, body).
+type Reply = (u16, Vec<(String, String)>, String);
+
+/// One raw exchange. Asks
 /// for `Connection: close` so EOF frames the response (the keep-alive
 /// path is exercised by the pipelining test below).
-fn roundtrip(
-    addr: std::net::SocketAddr,
-    request: &str,
-) -> (u16, Vec<(String, String)>, String) {
+fn roundtrip(addr: std::net::SocketAddr, request: &str) -> Reply {
     let request = request.replacen("\r\n\r\n", "\r\nConnection: close\r\n\r\n", 1);
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -45,8 +45,8 @@ fn roundtrip(
 
 /// Splits a byte stream of back-to-back HTTP responses using
 /// `Content-Length` framing (keep-alive responses have no EOF to frame
-/// them); returns (status, headers lowercased, body) per response.
-fn split_responses(raw: &str) -> Vec<(u16, Vec<(String, String)>, String)> {
+/// them).
+fn split_responses(raw: &str) -> Vec<Reply> {
     let mut out = Vec::new();
     let mut rest = raw;
     while !rest.is_empty() {

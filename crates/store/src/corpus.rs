@@ -25,7 +25,7 @@
 //! corpus, while resident memory stays at ~2 shards per worker.
 
 use crate::error::StoreError;
-use crate::hash::{fnv1a64, FNV_OFFSET};
+use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 use std::io::Read;
 use std::ops::Range;
 use std::path::{Path, PathBuf};

@@ -32,7 +32,6 @@
 
 pub mod corpus;
 pub mod error;
-pub mod hash;
 pub mod mmap;
 pub mod store;
 

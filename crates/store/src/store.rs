@@ -43,7 +43,7 @@
 //! All writes go through `v2v-fault`'s atomic tmp+fsync+rename layer.
 
 use crate::error::StoreError;
-use crate::hash::{fnv1a64, FNV_OFFSET};
+use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 use crate::mmap::Mmap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};

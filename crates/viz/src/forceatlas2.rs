@@ -14,7 +14,7 @@
 use crate::quadtree::{Body, QuadTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use v2v_base::par;
 use v2v_graph::Graph;
 
 /// Layout parameters.
@@ -107,41 +107,38 @@ impl ForceAtlas2 {
         let bodies: Vec<Body> =
             pos.iter().zip(mass).map(|(&p, &m)| Body { pos: p, mass: m }).collect();
 
-        (0..n)
-            .into_par_iter()
-            .map(|u| {
-                let mut f = match &tree {
-                    Some(t) => t.repulsion(pos[u], mass[u], config.repulsion, 0.5),
-                    None => crate::quadtree::exact_repulsion(&bodies, u, config.repulsion),
+        par::map(n, |u| {
+            let mut f = match &tree {
+                Some(t) => t.repulsion(pos[u], mass[u], config.repulsion, 0.5),
+                None => crate::quadtree::exact_repulsion(&bodies, u, config.repulsion),
+            };
+            // Gravity toward the origin.
+            let d = (pos[u][0] * pos[u][0] + pos[u][1] * pos[u][1]).sqrt();
+            if d > 1e-12 {
+                let g = config.gravity * mass[u] / d;
+                f[0] -= g * pos[u][0];
+                f[1] -= g * pos[u][1];
+            }
+            // Attraction along incident edges (each arc once; for
+            // undirected graphs both endpoints see the arc, which is
+            // exactly the symmetric pull).
+            let vid = v2v_graph::VertexId::from_index(u);
+            let weights = graph.neighbor_weights(vid);
+            for (i, w) in graph.neighbors(vid).iter().enumerate() {
+                let v = w.index();
+                if v == u {
+                    continue;
+                }
+                let scale = if config.use_weights {
+                    weights.map_or(1.0, |ws| ws[i])
+                } else {
+                    1.0
                 };
-                // Gravity toward the origin.
-                let d = (pos[u][0] * pos[u][0] + pos[u][1] * pos[u][1]).sqrt();
-                if d > 1e-12 {
-                    let g = config.gravity * mass[u] / d;
-                    f[0] -= g * pos[u][0];
-                    f[1] -= g * pos[u][1];
-                }
-                // Attraction along incident edges (each arc once; for
-                // undirected graphs both endpoints see the arc, which is
-                // exactly the symmetric pull).
-                let vid = v2v_graph::VertexId::from_index(u);
-                let weights = graph.neighbor_weights(vid);
-                for (i, w) in graph.neighbors(vid).iter().enumerate() {
-                    let v = w.index();
-                    if v == u {
-                        continue;
-                    }
-                    let scale = if config.use_weights {
-                        weights.map_or(1.0, |ws| ws[i])
-                    } else {
-                        1.0
-                    };
-                    f[0] += scale * (pos[v][0] - pos[u][0]);
-                    f[1] += scale * (pos[v][1] - pos[u][1]);
-                }
-                f
-            })
-            .collect()
+                f[0] += scale * (pos[v][0] - pos[u][0]);
+                f[1] += scale * (pos[v][1] - pos[u][1]);
+            }
+            f
+        })
     }
 }
 

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use v2v_base::par;
 use v2v_linalg::vector::euclidean_sq;
 use v2v_linalg::RowMatrix;
 
@@ -87,27 +87,24 @@ pub fn tsne(data: &RowMatrix, config: &TsneConfig) -> RowMatrix {
         let z = z.max(1e-12);
 
         // Gradient: 4 sum_j (exag*p_ij - q_ij) w_ij (y_i - y_j).
-        let grads: Vec<f64> = (0..n)
-            .into_par_iter()
-            .flat_map_iter(|i| {
-                let mut g = vec![0.0f64; d];
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let w = q_unnorm[i * n + j];
-                    let q = w / z;
-                    let mult = 4.0 * (exag * p[i * n + j] - q) * w;
-                    for k in 0..d {
-                        g[k] += mult * (y[i * d + k] - y[j * d + k]);
-                    }
+        let grads: Vec<Vec<f64>> = par::map(n, |i| {
+            let mut g = vec![0.0f64; d];
+            for j in 0..n {
+                if i == j {
+                    continue;
                 }
-                g.into_iter()
-            })
-            .collect();
+                let w = q_unnorm[i * n + j];
+                let q = w / z;
+                let mult = 4.0 * (exag * p[i * n + j] - q) * w;
+                for k in 0..d {
+                    g[k] += mult * (y[i * d + k] - y[j * d + k]);
+                }
+            }
+            g
+        });
 
-        for idx in 0..n * d {
-            velocity[idx] = momentum * velocity[idx] - config.learning_rate * grads[idx];
+        for (idx, grad) in grads.iter().flatten().enumerate() {
+            velocity[idx] = momentum * velocity[idx] - config.learning_rate * grad;
             y[idx] += velocity[idx];
         }
 
@@ -130,46 +127,42 @@ fn joint_affinities(data: &RowMatrix, perplexity: f64) -> Vec<f64> {
     let target_entropy = perplexity.ln();
 
     // Conditional affinities, rows in parallel.
-    let cond: Vec<Vec<f64>> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let d2: Vec<f64> =
-                (0..n).map(|j| euclidean_sq(data.row(i), data.row(j))).collect();
-            let mut beta = 1.0; // 1 / (2 sigma^2)
-            let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
-            let mut row = vec![0.0f64; n];
-            for _ in 0..64 {
-                let mut sum = 0.0;
-                for j in 0..n {
-                    row[j] = if i == j { 0.0 } else { (-beta * d2[j]).exp() };
-                    sum += row[j];
-                }
-                let sum = sum.max(1e-300);
-                // Shannon entropy of the normalized row.
-                let mut entropy = 0.0;
-                for &rj in row.iter() {
-                    if rj > 0.0 {
-                        let pj = rj / sum;
-                        entropy -= pj * pj.ln();
-                    }
-                }
-                let diff = entropy - target_entropy;
-                if diff.abs() < 1e-5 {
-                    break;
-                }
-                if diff > 0.0 {
-                    lo = beta;
-                    beta = if hi.is_finite() { (beta + hi) / 2.0 } else { beta * 2.0 };
-                } else {
-                    hi = beta;
-                    beta = (beta + lo) / 2.0;
+    let cond: Vec<Vec<f64>> = par::map(n, |i| {
+        let d2: Vec<f64> = (0..n).map(|j| euclidean_sq(data.row(i), data.row(j))).collect();
+        let mut beta = 1.0; // 1 / (2 sigma^2)
+        let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+        let mut row = vec![0.0f64; n];
+        for _ in 0..64 {
+            let mut sum = 0.0;
+            for j in 0..n {
+                row[j] = if i == j { 0.0 } else { (-beta * d2[j]).exp() };
+                sum += row[j];
+            }
+            let sum = sum.max(1e-300);
+            // Shannon entropy of the normalized row.
+            let mut entropy = 0.0;
+            for &rj in row.iter() {
+                if rj > 0.0 {
+                    let pj = rj / sum;
+                    entropy -= pj * pj.ln();
                 }
             }
-            let sum: f64 = row.iter().sum::<f64>().max(1e-300);
-            row.iter_mut().for_each(|x| *x /= sum);
-            row
-        })
-        .collect();
+            let diff = entropy - target_entropy;
+            if diff.abs() < 1e-5 {
+                break;
+            }
+            if diff > 0.0 {
+                lo = beta;
+                beta = if hi.is_finite() { (beta + hi) / 2.0 } else { beta * 2.0 };
+            } else {
+                hi = beta;
+                beta = (beta + lo) / 2.0;
+            }
+        }
+        let sum: f64 = row.iter().sum::<f64>().max(1e-300);
+        row.iter_mut().for_each(|x| *x /= sum);
+        row
+    });
 
     // Symmetrize: P_ij = (P_j|i + P_i|j) / 2n, floored away from zero.
     let mut p = vec![0.0f64; n * n];

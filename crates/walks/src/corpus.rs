@@ -5,14 +5,14 @@
 //! substitution #3) and feeds the resulting sequences to CBOW with window
 //! `n = 5`. [`WalkCorpus::generate`] produces those sequences; thanks to
 //! per-walk seed derivation the corpus is byte-identical for any number of
-//! rayon threads.
+//! threads.
 
 use crate::rng::derive_seed;
 use crate::strategy::WalkStrategy;
 use crate::walker::{WalkError, Walker};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
+use v2v_base::par;
 use v2v_graph::{Graph, VertexId};
 
 /// Parameters for corpus generation.
@@ -70,6 +70,43 @@ impl<E: std::fmt::Display> std::fmt::Display for StreamedWalkError<E> {
 
 impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for StreamedWalkError<E> {}
 
+/// Walks the jobs in `jobs` on `threads` threads and counts them into the
+/// telemetry. Job `j` is repetition `j % t` from vertex `j / t` and draws
+/// from its own derived seed, so neither the thread count nor where a
+/// caller cuts its batches shows in the output.
+fn walk_jobs(
+    threads: usize,
+    walker: &Walker,
+    config: &WalkConfig,
+    jobs: std::ops::Range<usize>,
+) -> Vec<Vec<VertexId>> {
+    let t = config.walks_per_vertex;
+    let walks = par::map_on(threads, jobs.len(), |i| {
+        let job = jobs.start + i;
+        let v = VertexId::from_index(job / t);
+        let seed = derive_seed(config.seed, v.0 as u64, (job % t) as u64);
+        walker.walk(v, config.walk_length, &mut SmallRng::seed_from_u64(seed))
+    });
+    // Recorded once per batch, outside the hot loop. A walk shorter than
+    // requested means the walker got stuck (directed sink, temporal dead
+    // end, isolated vertex, or zero-weight neighborhood) — the only
+    // early-termination reasons that exist.
+    let metrics = v2v_obs::global_metrics();
+    let full = walks.iter().filter(|w| w.len() == config.walk_length).count();
+    let tokens: usize = walks.iter().map(Vec::len).sum();
+    metrics.counter("walks.generated").add(walks.len() as u64);
+    metrics.counter("walks.completed_full_length").add(full as u64);
+    metrics.counter("walks.terminated_early").add((walks.len() - full) as u64);
+    metrics.counter("walks.tokens").add(tokens as u64);
+    v2v_obs::obs_debug!(
+        "generated {} walks ({} tokens, {} cut short)",
+        walks.len(),
+        tokens,
+        walks.len() - full
+    );
+    walks
+}
+
 /// A materialized set of walks over one graph.
 #[derive(Clone, Debug)]
 pub struct WalkCorpus {
@@ -82,36 +119,9 @@ impl WalkCorpus {
     /// `config.seed` regardless of thread count.
     pub fn generate(graph: &Graph, config: &WalkConfig) -> Result<WalkCorpus, WalkError> {
         let walker = Walker::new(graph, config.strategy)?;
-        let t = config.walks_per_vertex;
         let n = graph.num_vertices();
         let _span = v2v_obs::span("walks");
-        let walks: Vec<Vec<VertexId>> = (0..n * t)
-            .into_par_iter()
-            .map(|job| {
-                let v = VertexId::from_index(job / t);
-                let rep = (job % t) as u64;
-                let seed = derive_seed(config.seed, v.0 as u64, rep);
-                let mut rng = SmallRng::seed_from_u64(seed);
-                walker.walk(v, config.walk_length, &mut rng)
-            })
-            .collect();
-        // Telemetry is recorded once per corpus, outside the hot loop. A
-        // walk shorter than requested means the walker got stuck (directed
-        // sink, temporal dead end, isolated vertex, or zero-weight
-        // neighborhood) — the only early-termination reasons that exist.
-        let metrics = v2v_obs::global_metrics();
-        let full = walks.iter().filter(|w| w.len() == config.walk_length).count();
-        let tokens: usize = walks.iter().map(Vec::len).sum();
-        metrics.counter("walks.generated").add(walks.len() as u64);
-        metrics.counter("walks.completed_full_length").add(full as u64);
-        metrics.counter("walks.terminated_early").add((walks.len() - full) as u64);
-        metrics.counter("walks.tokens").add(tokens as u64);
-        v2v_obs::obs_debug!(
-            "generated {} walks ({} tokens, {} cut short) over {n} vertices",
-            walks.len(),
-            tokens,
-            walks.len() - full
-        );
+        let walks = walk_jobs(par::threads(), &walker, config, 0..n * config.walks_per_vertex);
         Ok(WalkCorpus { walks, num_vertices: n })
     }
 
@@ -131,33 +141,13 @@ impl WalkCorpus {
         mut sink: impl FnMut(u64, Vec<Vec<VertexId>>) -> Result<(), E>,
     ) -> Result<(), StreamedWalkError<E>> {
         let walker = Walker::new(graph, config.strategy).map_err(StreamedWalkError::Walk)?;
-        let t = config.walks_per_vertex;
-        let n = graph.num_vertices();
-        let total = n * t;
+        let total = graph.num_vertices() * config.walks_per_vertex;
         let batch = batch_walks.max(1);
         let _span = v2v_obs::span("walks");
-        let metrics = v2v_obs::global_metrics();
         let mut lo = 0usize;
         while lo < total {
             let hi = (lo + batch).min(total);
-            // Identical per-walk seed derivation to `generate`: the batch
-            // boundary is invisible in the output.
-            let walks: Vec<Vec<VertexId>> = (lo..hi)
-                .into_par_iter()
-                .map(|job| {
-                    let v = VertexId::from_index(job / t);
-                    let rep = (job % t) as u64;
-                    let seed = derive_seed(config.seed, v.0 as u64, rep);
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    walker.walk(v, config.walk_length, &mut rng)
-                })
-                .collect();
-            let full = walks.iter().filter(|w| w.len() == config.walk_length).count();
-            let tokens: usize = walks.iter().map(Vec::len).sum();
-            metrics.counter("walks.generated").add(walks.len() as u64);
-            metrics.counter("walks.completed_full_length").add(full as u64);
-            metrics.counter("walks.terminated_early").add((walks.len() - full) as u64);
-            metrics.counter("walks.tokens").add(tokens as u64);
+            let walks = walk_jobs(par::threads(), &walker, config, lo..hi);
             sink(lo as u64, walks).map_err(StreamedWalkError::Sink)?;
             lo = hi;
         }
@@ -268,10 +258,11 @@ mod tests {
     fn deterministic_across_thread_counts() {
         let g = generators::gnm(30, 100, 5);
         let cfg = WalkConfig { walks_per_vertex: 2, walk_length: 12, ..Default::default() };
-        let single = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let a = single.install(|| WalkCorpus::generate(&g, &cfg).unwrap());
-        let b = WalkCorpus::generate(&g, &cfg).unwrap(); // global pool
-        assert_eq!(a.walks(), b.walks());
+        let walker = Walker::new(&g, cfg.strategy).unwrap();
+        let jobs = 0..g.num_vertices() * cfg.walks_per_vertex;
+        let one = walk_jobs(1, &walker, &cfg, jobs.clone());
+        assert_eq!(walk_jobs(3, &walker, &cfg, jobs), one);
+        assert_eq!(WalkCorpus::generate(&g, &cfg).unwrap().walks(), one);
     }
 
     #[test]

@@ -5,15 +5,7 @@
 //! corpus a pure function of the seed — identical across thread counts and
 //! across runs — which the reproducibility tests rely on.
 
-/// One step of the SplitMix64 sequence; a high-quality 64-bit mixer.
-#[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use v2v_base::rng::splitmix64;
 
 /// Mixes several values into a single derived seed.
 pub fn derive_seed(base: u64, a: u64, b: u64) -> u64 {
@@ -28,22 +20,6 @@ pub fn derive_seed(base: u64, a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = 42u64;
-        let mut b = 42u64;
-        assert_eq!(splitmix64(&mut a), splitmix64(&mut b));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn splitmix_sequence_varies() {
-        let mut s = 0u64;
-        let x = splitmix64(&mut s);
-        let y = splitmix64(&mut s);
-        assert_ne!(x, y);
-    }
 
     #[test]
     fn derived_seeds_differ_per_input() {

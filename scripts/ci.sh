@@ -12,7 +12,14 @@ cargo test -q --workspace           # --workspace: the root package alone is
 # suites again with SIMD forced off so the scalar reference path (what
 # non-x86 hosts and V2V_NO_SIMD=1 deployments run) stays verified too.
 V2V_NO_SIMD=1 cargo test -q -p v2v-linalg -p v2v-embed -p v2v-serve
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
+# One threading idiom: `v2v_base::par` replaced the vendored rayon shim, and
+# nothing may bring it back by name.
+if grep -rn rayon --include=Cargo.toml --include=Cargo.lock --include='*.rs' \
+    Cargo.toml Cargo.lock crates vendor src tests examples; then
+  echo "rayon is mentioned again (see above); data-parallel code goes through v2v_base::par" >&2
+  exit 1
+fi
 
 # --- Server smoke test -----------------------------------------------------
 # Boot `v2v serve` on an ephemeral port against a tiny embedding, hit the
@@ -206,20 +213,32 @@ awk -v ms="$cold_ms" 'BEGIN {
 }' || { echo "snapshot cold start took ${cold_ms} ms (>= 1 s)" >&2; exit 1; }
 echo "out-of-core store smoke test: ok"
 
-# --- Index build smoke: the graph does not depend on the thread count -------
-# `v2v index` spreads both build phases over available_parallelism() threads;
-# pinned to one core it runs them on one. Same store in, same bytes out.
+# --- Thread-count smoke: no output depends on the core count ----------------
+# `v2v index` spreads both build phases over available_parallelism() threads,
+# and `project` (covariance) and `communities` (k-means) their hot loops;
+# pinned to one core they run on one. Same store in, same bytes out.
+# (32 dims: below that the covariance runs on the calling thread anyway.)
 seq 0 2399 | awk '{ print $1, ($1 + 1) % 2400; print $1, ($1 * 37 + 11) % 2400 }' \
   > "$smoke_dir/edges-2400.txt"
 ./target/release/v2v embed --input "$smoke_dir/edges-2400.txt" --output "$smoke_dir/one-core.v2s" \
-  --dims 16 --walks 2 --length 20 --epochs 1 --threads 1 --seed 3 2> /dev/null
+  --dims 32 --walks 2 --length 20 --epochs 1 --threads 1 --seed 3 2> /dev/null
 cp "$smoke_dir/one-core.v2s" "$smoke_dir/all-cores.v2s"
 first_cpu=$(taskset -cp $$ | sed 's/.*: //; s/[,-].*//')   # first CPU we may run on
+same_on_one_core() {   # <subcommand> [flags]: its --output must not depend on our CPUs
+  taskset -c "$first_cpu" ./target/release/v2v "$@" --embedding "$smoke_dir/one-core.v2s" \
+    --output "$smoke_dir/$1.one-core" 2> /dev/null
+  ./target/release/v2v "$@" --embedding "$smoke_dir/one-core.v2s" \
+    --output "$smoke_dir/$1.all-cores" 2> /dev/null
+  cmp "$smoke_dir/$1.one-core" "$smoke_dir/$1.all-cores" \
+    || { echo "v2v $1 wrote different bytes on one core and on $(nproc)" >&2; exit 1; }
+}
+same_on_one_core project
+same_on_one_core communities --k 4 --restarts 5
 taskset -c "$first_cpu" ./target/release/v2v index --store "$smoke_dir/one-core.v2s" 2> /dev/null
 ./target/release/v2v index --store "$smoke_dir/all-cores.v2s" 2> /dev/null
 cmp "$smoke_dir/one-core.v2s" "$smoke_dir/all-cores.v2s" \
   || { echo "v2v index wrote different bytes on one core and on $(nproc)" >&2; exit 1; }
-echo "index thread-count smoke test: ok"
+echo "thread-count smoke test (index, project, communities): ok"
 
 # --- Durable ingest smoke: stream, SIGKILL mid-ingest, restart, recover -----
 # The crash-consistency contract in miniature: every edge the server ACKs
