@@ -1,6 +1,6 @@
 //! FNV-1a 64-bit hashing — the workspace's one checksum primitive: WAL
-//! records, V2VC checkpoint sections, the V2VE v1 trailer, the v2 store's
-//! header, shards and fingerprint, and HNSW snapshots all call this.
+//! records, V2VC checkpoint sections, the `.v2s` store's header, shards
+//! and fingerprint, and HNSW snapshots all call this.
 
 /// FNV-1a 64-bit offset basis: the initial `state` for a fresh hash.
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;

@@ -8,13 +8,10 @@
 //! (`--sweep 1,2,4,8` by default; `--sweep ""` to skip) then re-trains at
 //! each thread count and records per-count throughput, scaling
 //! efficiency `pairs_per_sec(t) / (t * pairs_per_sec(1))`, and the
-//! trainer's concurrency attribution (throughput skew across workers,
-//! barrier-wait fraction, and hardware cache misses per pair — `null`
-//! with a top-level `perf_note` reason where `perf_event_open` is
-//! denied). Writes a
-//! machine-readable `BENCH_embed.json` at the repo root (`--out-json` to
-//! relocate) so successive PRs record a comparable trajectory; the schema
-//! is documented in EXPERIMENTS.md. The git revision is stamped from the
+//! trainer's concurrency attribution (throughput skew across workers and
+//! barrier-wait fraction). Writes a machine-readable `BENCH_embed.json`
+//! at the repo root (`--out-json` to relocate) so successive PRs record a
+//! comparable trajectory; the schema is documented in EXPERIMENTS.md. The git revision is stamped from the
 //! `GIT_REV` environment variable, and the active SIMD kernel backend
 //! (`v2v_linalg::kernels`) is recorded so numbers are attributable to the
 //! code path that produced them.
@@ -81,7 +78,7 @@ fn main() {
     );
 
     // Thread-scaling sweep: throughput, efficiency, and the concurrency
-    // attribution (skew, barrier wait, cache misses) per thread count — the
+    // attribution (skew, barrier wait) per thread count — the
     // report says not just *that* scaling is broken but *where* the time went.
     let sweep_counts: Vec<usize> = sweep_arg
         .split(',')
@@ -94,13 +91,9 @@ fn main() {
         let pps = s.total_pairs as f64 / secs;
         let rep = &s.concurrency;
         println!(
-            "sweep: {t} thread(s) -> {pps:.0} pairs/s | skew {:.2} | barrier {:.1}% | {}",
+            "sweep: {t} thread(s) -> {pps:.0} pairs/s | skew {:.2} | barrier {:.1}%",
             rep.throughput_skew,
-            rep.barrier_wait_frac * 100.0,
-            match rep.cache_miss_per_pair {
-                Some(m) => format!("{m:.1} cache misses/pair"),
-                None => "cache misses unavailable".to_string(),
-            }
+            rep.barrier_wait_frac * 100.0
         );
         sweep.push((t, pps, s.concurrency));
     }
@@ -109,12 +102,6 @@ fn main() {
         .find(|entry| entry.0 == 1)
         .map(|entry| entry.1)
         .unwrap_or(pairs_per_sec);
-    // Why the hardware columns are (or aren't) populated; recorded once at
-    // the top level since it's a property of the machine, not of a run.
-    let perf_note = match v2v_obs::perf_counters::probe() {
-        Ok(()) => String::new(),
-        Err(reason) => reason,
-    };
 
     // Machine-readable trajectory record; schema in EXPERIMENTS.md.
     let mut doc = String::from("{\n  \"bench\": \"embed\",\n");
@@ -138,8 +125,6 @@ fn main() {
     v2v_obs::json::write_f64(&mut doc, tokens_per_sec);
     doc.push_str(",\n  \"final_loss\": ");
     v2v_obs::json::write_f64(&mut doc, stats.epoch_losses.last().copied().unwrap_or(0.0));
-    doc.push_str(",\n  \"perf_note\": ");
-    v2v_obs::json::write_escaped(&mut doc, &perf_note);
     doc.push_str(",\n  \"thread_sweep\": [");
     for (i, (t, pps, rep)) in sweep.iter().enumerate() {
         if i > 0 {
@@ -153,11 +138,6 @@ fn main() {
         v2v_obs::json::write_f64(&mut doc, rep.throughput_skew);
         doc.push_str(", \"barrier_wait_frac\": ");
         v2v_obs::json::write_f64(&mut doc, rep.barrier_wait_frac);
-        doc.push_str(", \"cache_miss_per_pair\": ");
-        match rep.cache_miss_per_pair {
-            Some(m) => v2v_obs::json::write_f64(&mut doc, m),
-            None => doc.push_str("null"),
-        }
         doc.push('}');
     }
     if !sweep.is_empty() {

@@ -12,12 +12,12 @@ use v2v_graph::Graph;
 use v2v_walks::WalkStrategy;
 
 fn parse_format(opts: &Opts) -> Result<EdgeListFormat, String> {
-    match opts.get_str("format").unwrap_or("plain") {
+    match opts.require("format")? {
         "plain" => Ok(EdgeListFormat::Plain),
         "weighted" => Ok(EdgeListFormat::Weighted),
         "temporal" => Ok(EdgeListFormat::Temporal),
         "weighted-temporal" => Ok(EdgeListFormat::WeightedTemporal),
-        other => Err(format!("unknown --format {other:?} (plain|weighted|temporal|weighted-temporal)")),
+        other => unreachable!("the option table admits no --format {other}"),
     }
 }
 
@@ -30,51 +30,54 @@ fn load_graph(opts: &Opts) -> Result<Graph, String> {
 }
 
 fn parse_strategy(opts: &Opts) -> Result<WalkStrategy, String> {
-    match opts.get_str("strategy").unwrap_or("uniform") {
+    match opts.require("strategy")? {
         "uniform" => Ok(WalkStrategy::Uniform),
         "edge-weighted" => Ok(WalkStrategy::EdgeWeighted),
         "vertex-weighted" => Ok(WalkStrategy::VertexWeighted),
-        "temporal" => Ok(WalkStrategy::Temporal {
-            window: opts.get_str("time-window").map(|w| w.parse().map_err(|_| "invalid --time-window".to_string())).transpose()?,
-        }),
-        "node2vec" => Ok(WalkStrategy::Node2Vec {
-            p: opts.get("p", 1.0)?,
-            q: opts.get("q", 1.0)?,
-        }),
-        other => Err(format!(
-            "unknown --strategy {other:?} (uniform|edge-weighted|vertex-weighted|temporal|node2vec)"
-        )),
+        "temporal" => Ok(WalkStrategy::Temporal { window: opts.get_opt("time-window")? }),
+        "node2vec" => Ok(WalkStrategy::Node2Vec { p: opts.get("p")?, q: opts.get("q")? }),
+        other => unreachable!("the option table admits no --strategy {other}"),
     }
+}
+
+/// The `WALK` flag group as a walk configuration.
+fn walk_config(opts: &Opts) -> Result<v2v_walks::WalkConfig, String> {
+    Ok(v2v_walks::WalkConfig {
+        walks_per_vertex: opts.get("walks")?,
+        walk_length: opts.get("length")?,
+        strategy: parse_strategy(opts)?,
+        seed: opts.get("seed")?,
+    })
 }
 
 /// `v2v embed`: edge list (or a sharded walk corpus from `v2v walks`) →
 /// embedding file. `--corpus <dir>` streams epochs from disk shards with
 /// bounded memory instead of generating walks in RAM; the walk options are
 /// then baked into the corpus and ignored here. A `.v2s` output writes the
-/// mmap-able V2VE v2 store `v2v serve` cold-starts from.
+/// mmap-able store `v2v serve` cold-starts from.
 pub fn embed(opts: &Opts) -> Result<(), String> {
     let output = opts.require("output")?;
+    // `.bin` / `.v2e` used to select a binary format that no longer exists;
+    // refusing them before any training beats text under a binary name.
+    if output.ends_with(".bin") || output.ends_with(".v2e") {
+        return Err(format!(
+            "{output}: the binary embedding format is the `.v2s` store; \
+             use a .v2s extension (any other extension writes text)"
+        ));
+    }
 
-    let mut config = V2vConfig::default()
-        .with_dimensions(opts.get("dims", 50usize)?)
-        .with_seed(opts.get("seed", 0x5EEDu64)?);
-    config.walks.walks_per_vertex = opts.get("walks", 10usize)?;
-    config.walks.walk_length = opts.get("length", 80usize)?;
-    config.walks.strategy = parse_strategy(opts)?;
-    config.embedding.window = opts.get("window", 5usize)?;
-    config.embedding.epochs = opts.get("epochs", 2usize)?;
-    config.embedding.threads = opts.get("threads", 0usize)?;
+    let mut config =
+        V2vConfig::default().with_dimensions(opts.get("dims")?).with_seed(opts.get("seed")?);
+    config.walks = walk_config(opts)?;
+    config.embedding.window = opts.get("window")?;
+    config.embedding.epochs = opts.get("epochs")?;
+    config.embedding.threads = opts.get("threads")?;
 
     let checkpoint = match opts.get_str("checkpoint-dir") {
         Some(dir) => Some(v2v_core::CheckpointOptions {
             dir: dir.into(),
-            every_epochs: opts.get("checkpoint-every-epochs", 1usize)?,
-            every_secs: match opts.get_str("checkpoint-every-secs") {
-                Some(v) => Some(v.parse::<f64>().map_err(|_| {
-                    format!("invalid value {v:?} for --checkpoint-every-secs")
-                })?),
-                None => None,
-            },
+            every_epochs: opts.get("checkpoint-every-epochs")?,
+            every_secs: opts.get_opt("checkpoint-every-secs")?,
             resume: opts.flag("resume"),
         }),
         None if opts.flag("resume") => {
@@ -88,7 +91,7 @@ pub fn embed(opts: &Opts) -> Result<(), String> {
     // the flat profile answers "where do the training cycles go".
     let profiler = match opts.get_str("profile") {
         Some(_) => Some(
-            v2v_obs::SelfProfiler::start(v2v_obs::sampler::hz_from_env())
+            v2v_obs::SelfProfiler::start(opts.env.profile_hz)
                 .map_err(|e| format!("cannot start profiler: {e}"))?,
         ),
         None => None,
@@ -144,14 +147,10 @@ pub fn embed(opts: &Opts) -> Result<(), String> {
     let report = &model.stats().concurrency;
     if report.threads > 1 {
         obs_info!(
-            "concurrency: {} workers, skew {:.2}, barrier wait {:.1}%{}",
+            "concurrency: {} workers, skew {:.2}, barrier wait {:.1}%",
             report.threads,
             report.throughput_skew,
-            report.barrier_wait_frac * 100.0,
-            match report.cache_miss_per_pair {
-                Some(m) => format!(", {m:.1} cache misses/pair"),
-                None => format!(" (hardware counters: {})", report.perf_note),
-            }
+            report.barrier_wait_frac * 100.0
         );
     }
     obs_info!(
@@ -176,13 +175,8 @@ pub fn embed(opts: &Opts) -> Result<(), String> {
 pub fn walks(opts: &Opts) -> Result<(), String> {
     let graph = load_graph(opts)?;
     let out_dir = opts.require("output")?;
-    let config = v2v_walks::WalkConfig {
-        walks_per_vertex: opts.get("walks", 10usize)?,
-        walk_length: opts.get("length", 80usize)?,
-        strategy: parse_strategy(opts)?,
-        seed: opts.get("seed", 0x5EEDu64)?,
-    };
-    let shard_mb = opts.get("shard-mb", 8usize)?;
+    let config = walk_config(opts)?;
+    let shard_mb: usize = opts.get("shard-mb")?;
     let mut writer = v2v_store::CorpusShardWriter::create(
         out_dir,
         graph.num_vertices(),
@@ -209,7 +203,7 @@ pub fn walks(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `v2v index`: build the HNSW graph over a V2VE v2 store once and embed
+/// `v2v index`: build the HNSW graph over a `.v2s` store once and embed
 /// the snapshot into the store's index section, fingerprinted against the
 /// exact payload and build configuration. `v2v serve` then loads the
 /// graph instead of rebuilding it — the difference between a sub-second
@@ -219,8 +213,8 @@ pub fn index(opts: &Opts) -> Result<(), String> {
     let store = v2v_store::EmbeddingStore::open(path)
         .map_err(|e| format!("cannot open store {path}: {e}"))?;
     let config = v2v_serve::HnswConfig {
-        m: opts.get("m", 16usize)?,
-        ef_construction: opts.get("ef-construction", 200usize)?,
+        m: opts.get("m")?,
+        ef_construction: opts.get("ef-construction")?,
         ..Default::default()
     };
     let dims = store.dims();
@@ -256,18 +250,22 @@ pub fn profile(opts: &Opts) -> Result<(), String> {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let flat = v2v_obs::FlatProfile::from_json(&text)
         .map_err(|e| format!("{path} is not a v2v flat profile: {e}"))?;
-    let rendered = match opts.get_str("format").unwrap_or("table") {
+    let rendered = match opts.require("format")? {
         "table" => flat.render_table(),
         "json" => flat.to_json(),
-        other => return Err(format!("unknown --format {other:?} (table|json)")),
+        other => unreachable!("the option table admits no --format {other}"),
     };
     write_stdout(|out| out.write_all(rendered.as_bytes()))
 }
 
-/// `.v2s` outputs get the mmap-able shard-checksummed V2VE v2 store,
-/// `.bin` / `.v2e` the checksummed binary format, everything else the
-/// word2vec text format. Either way the file lands atomically: a crash
-/// mid-write leaves the previous artifact, never a torn one.
+/// `v2v help`: the option table, rendered.
+pub fn help(_opts: &Opts) -> Result<(), String> {
+    write_stdout(|out| out.write_all(crate::opts::help().as_bytes()))
+}
+
+/// `.v2s` outputs get the mmap-able shard-checksummed store, everything
+/// else the word2vec text format. Either way the file lands atomically: a
+/// crash mid-write leaves the previous artifact, never a torn one.
 fn write_embedding_file(emb: &v2v_embed::Embedding, output: &str) -> Result<(), String> {
     if output.ends_with(".v2s") {
         let dims = emb.dimensions();
@@ -282,13 +280,7 @@ fn write_embedding_file(emb: &v2v_embed::Embedding, output: &str) -> Result<(), 
         .map_err(|e| format!("cannot write {output}: {e}"));
     }
     v2v_core::io::write_atomic_with(output, |w| {
-        if output.ends_with(".bin") || output.ends_with(".v2e") {
-            v2v_embed::binary::write_embedding_binary(emb, w)
-                .map_err(|e| std::io::Error::other(e.to_string()))
-        } else {
-            v2v_embed::io::write_embedding(emb, w)
-                .map_err(|e| std::io::Error::other(e.to_string()))
-        }
+        v2v_embed::io::write_embedding(emb, w).map_err(|e| std::io::Error::other(e.to_string()))
     })
     .map_err(|e| format!("cannot write {output}: {e}"))
 }
@@ -315,41 +307,38 @@ fn write_stdout(fill: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Res
         .map_err(|e| format!("cannot write to stdout: {e}"))
 }
 
-/// Loads any embedding artifact — text, V2VE v1 binary, or a V2VE v2
-/// store — sniffing the magic so the file extension does not matter.
-fn load_embedding_path(path: &str) -> Result<v2v_embed::Embedding, String> {
-    if is_store_file(path) {
-        let store = v2v_store::EmbeddingStore::open(path)
-            .map_err(|e| format!("cannot open store {path}: {e}"))?;
-        let payload = store.payload().map_err(|e| format!("{path}: {e}"))?.to_vec();
-        return Ok(v2v_embed::Embedding::from_flat(store.dims(), payload));
-    }
+/// An embedding artifact as opened from disk: the two formats there are.
+enum EmbeddingFile {
+    Text(v2v_embed::Embedding),
+    Store(v2v_store::EmbeddingStore),
+}
+
+/// Opens any embedding artifact, sniffing the 4-byte `V2VE` magic once so
+/// the extension does not matter: the magic goes to the store reader
+/// (which refuses a pre-`.v2s` version-1 file by name), anything else is
+/// text. Every subcommand, and `serve`'s boot/reload, routes through here.
+fn open_embedding_path(path: &str) -> Result<EmbeddingFile, String> {
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut reader = BufReader::new(file);
     let head = reader.fill_buf().map_err(|e| format!("cannot read {path}: {e}"))?;
-    if v2v_embed::binary::is_binary_header(head) {
-        v2v_embed::binary::read_embedding_binary(reader)
-            .map_err(|e| format!("{path}: {e}"))
+    if head.starts_with(&v2v_store::store::MAGIC) {
+        v2v_store::EmbeddingStore::open(path)
+            .map(EmbeddingFile::Store)
+            .map_err(|e| format!("cannot open store {path}: {e}"))
     } else {
-        v2v_embed::io::read_embedding(reader).map_err(|e| e.to_string())
+        v2v_embed::io::read_embedding(reader).map(EmbeddingFile::Text).map_err(|e| e.to_string())
     }
 }
 
-/// A typed option with a `V2V_*` environment fallback: the explicit
-/// `--<key>` flag wins, then the environment variable, then the default.
-fn opt_env<T: std::str::FromStr>(
-    opts: &Opts,
-    key: &str,
-    env: &str,
-    default: T,
-) -> Result<T, String> {
-    if let Some(v) = opts.get_str(key) {
-        return v.parse().map_err(|_| format!("invalid value {v:?} for --{key}"));
+/// [`open_embedding_path`] for the subcommands that want the vectors in RAM.
+fn load_embedding_path(path: &str) -> Result<v2v_embed::Embedding, String> {
+    match open_embedding_path(path)? {
+        EmbeddingFile::Text(embedding) => Ok(embedding),
+        EmbeddingFile::Store(store) => {
+            let payload = store.payload().map_err(|e| format!("{path}: {e}"))?.to_vec();
+            Ok(v2v_embed::Embedding::from_flat(store.dims(), payload))
+        }
     }
-    if let Ok(v) = std::env::var(env) {
-        return v.parse().map_err(|_| format!("invalid value {v:?} for {env}"));
-    }
-    Ok(default)
 }
 
 /// `v2v drift`: offline diff of two embeddings / `.v2s` stores — the same
@@ -369,26 +358,20 @@ pub fn drift(opts: &Opts) -> Result<(), String> {
             "dimensionality mismatch: {a_path} has {dims_a} dims, {b_path} has {dims_b}"
         ));
     }
-    let defaults = v2v_obs::quality::QualityConfig::default();
     let config = v2v_obs::quality::QualityConfig {
-        canaries: opt_env(opts, "quality-canaries", "V2V_QUALITY_CANARIES", defaults.canaries)?,
-        k: opts.get("k", defaults.k)?,
-        seed: opts.get("seed", defaults.seed)?,
-        churn_threshold: opt_env(
-            opts,
-            "quality-churn-threshold",
-            "V2V_QUALITY_CHURN_THRESHOLD",
-            defaults.churn_threshold,
-        )?,
+        canaries: opts.get("quality-canaries")?,
+        k: opts.get("k")?,
+        seed: opts.get("seed")?,
+        churn_threshold: opts.get("quality-churn-threshold")?,
     };
     let report =
         v2v_obs::quality::DriftReport::compute(dims_a, a.as_flat(), b.as_flat(), &config)?;
     let json = report.to_json();
-    let (table, with_json) = match opts.get_str("format").unwrap_or("both") {
+    let (table, with_json) = match opts.require("format")? {
         "table" => (true, false),
         "json" => (false, true),
         "both" => (true, true),
-        other => return Err(format!("unknown --format {other:?} (table|json|both)")),
+        other => unreachable!("the option table admits no --format {other}"),
     };
     write_stdout(|out| {
         if table {
@@ -413,36 +396,19 @@ pub fn drift(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether `path` is a V2VE **v2** store (mmap-able container) rather
-/// than a v1 binary or text embedding: by `.v2s` extension, or by
-/// sniffing the magic + version so renamed files still route correctly.
-fn is_store_file(path: &str) -> bool {
-    if path.ends_with(".v2s") {
-        return true;
-    }
-    let mut head = [0u8; 8];
-    use std::io::Read as _;
-    match File::open(path).and_then(|mut f| f.read_exact(&mut head)) {
-        Ok(()) => {
-            head[..4] == *b"V2VE" && u32::from_le_bytes(head[4..8].try_into().unwrap()) == 2
-        }
-        Err(_) => false,
-    }
-}
-
 /// `v2v communities`: embedding file → one `vertex community` line each.
 pub fn communities(opts: &Opts) -> Result<(), String> {
     let embedding = load_embedding_path(opts.require("embedding")?)?;
-    let k = opts.get("k", 0usize)?;
+    let k: usize = opts.get("k")?;
     if k < 1 {
-        return Err("--k is required and must be >= 1".into());
+        return Err("--k must be >= 1".into());
     }
-    let restarts = opts.get("restarts", 100usize)?;
+    let restarts: usize = opts.get("restarts")?;
     let matrix = embedding.to_matrix();
     let cfg = v2v_ml::kmeans::KMeansConfig {
         k,
         restarts,
-        seed: opts.get("seed", 0xC1A55u64)?,
+        seed: opts.get("seed")?,
         ..Default::default()
     };
     let result = {
@@ -498,7 +464,7 @@ fn read_labels(path: &str, n: usize) -> Result<(Vec<Option<usize>>, Vec<usize>),
 pub fn predict(opts: &Opts) -> Result<(), String> {
     let embedding = load_embedding_path(opts.require("embedding")?)?;
     let labels_path = opts.require("labels")?;
-    let k = opts.get("k", 3usize)?;
+    let k: usize = opts.get("k")?;
     let (known, targets) = read_labels(labels_path, embedding.len())?;
     if targets.is_empty() {
         return Err("no '?' target vertices in the label file".into());
@@ -527,10 +493,8 @@ pub fn predict(opts: &Opts) -> Result<(), String> {
     let ann_index = if opts.flag("ann") {
         let flat: Vec<f32> =
             train_rows.iter().flat_map(|r| r.iter().map(|&x| x as f32)).collect();
-        let config = v2v_serve::HnswConfig {
-            ef_search: opts.get("ef-search", 64usize)?,
-            ..Default::default()
-        };
+        let config =
+            v2v_serve::HnswConfig { ef_search: opts.get("ef-search")?, ..Default::default() };
         let index = v2v_serve::HnswIndex::build(embedding.dimensions(), flat, config);
         obs_info!(
             "built ANN index over {} labeled rows in {:.2?}",
@@ -556,7 +520,7 @@ pub fn predict(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `v2v serve`: load an embedding (text or binary), build the ANN index,
+/// `v2v serve`: load an embedding (text or `.v2s` store), build the ANN index,
 /// and answer `/neighbors`, `/similarity`, `/predict`, `/healthz`,
 /// `/metricz`, and `POST /reload` over HTTP until SIGINT/SIGTERM.
 /// SIGHUP (or `/reload`) re-reads the embedding and label files and
@@ -566,10 +530,7 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     let embedding_path = opts.require("embedding")?.to_string();
     let labels_path = opts.get_str("labels").map(str::to_string);
     let rebuild_index = opts.flag("rebuild-index");
-    let config = v2v_serve::HnswConfig {
-        ef_search: opts.get("ef-search", 64usize)?,
-        ..Default::default()
-    };
+    let config = v2v_serve::HnswConfig { ef_search: opts.get("ef-search")?, ..Default::default() };
     // The reloader re-reads the same paths the server booted from, so a
     // retrain + atomic rename + `kill -HUP` rolls new vectors out live.
     let build: v2v_serve::Reloader = Box::new(move || {
@@ -577,17 +538,18 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
             Some(path) => Ok::<_, String>(Some(read_labels(path, n)?.0)),
             None => Ok(None),
         };
-        if is_store_file(&embedding_path) {
-            // V2VE v2 store: mmap (heap fallback), lazy shard verification,
-            // and — unless --rebuild-index — the persisted HNSW snapshot.
-            let store = v2v_store::EmbeddingStore::open(&embedding_path)
-                .map_err(|e| format!("cannot open store {embedding_path}: {e}"))?;
-            let labels = read_label_file(store.len())?;
-            v2v_serve::ServeState::from_store(store, config.clone(), labels, !rebuild_index)
-        } else {
-            let embedding = load_embedding_path(&embedding_path)?;
-            let labels = read_label_file(embedding.len())?;
-            v2v_serve::ServeState::new(embedding, config.clone(), labels)
+        match open_embedding_path(&embedding_path)? {
+            // A store is served in place: mmap (heap fallback), lazy shard
+            // verification, and — unless --rebuild-index — the persisted
+            // HNSW snapshot.
+            EmbeddingFile::Store(store) => {
+                let labels = read_label_file(store.len())?;
+                v2v_serve::ServeState::from_store(store, config.clone(), labels, !rebuild_index)
+            }
+            EmbeddingFile::Text(embedding) => {
+                let labels = read_label_file(embedding.len())?;
+                v2v_serve::ServeState::new(embedding, config.clone(), labels)
+            }
         }
         .map_err(|e| e.to_string())
     });
@@ -609,16 +571,11 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     // the WAL (ACK after fsync), a background worker folds committed edges
     // into the serving state, and the whole committed log replays here —
     // before the listener binds — so no request ever sees pre-crash state.
-    let churn_threshold = opt_env(
-        opts,
-        "quality-churn-threshold",
-        "V2V_QUALITY_CHURN_THRESHOLD",
-        v2v_obs::quality::QualityConfig::default().churn_threshold,
-    )?;
+    let churn_threshold: f64 = opts.get("quality-churn-threshold")?;
     let handler = match opts.get_str("wal-dir") {
         Some(dir) => {
             let ingest_config = v2v_serve::ingest::IngestConfig {
-                max_pending: opts.get("ingest-queue", 8192usize)?,
+                max_pending: opts.get("ingest-queue")?,
                 churn_threshold,
                 ..Default::default()
             };
@@ -637,22 +594,14 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     // Quality sentinel: a SCHED_IDLE probe loop replaying a stable canary
     // set against every installed state — recall@10 vs brute force,
     // per-swap neighbor churn, centroid drift — exported on /metricz,
-    // GET /qualityz, and the flight recorder. On by default; --quality-off
-    // (or V2V_QUALITY_OFF=1) disables it.
-    let quality_off = opts.flag("quality-off")
-        || std::env::var("V2V_QUALITY_OFF").map(|v| v == "1").unwrap_or(false);
-    let handler = if quality_off {
+    // GET /qualityz, and the flight recorder. On by default.
+    let handler = if opts.flag("quality-off") {
         handler
     } else {
         let sentinel_config = v2v_serve::SentinelConfig {
-            canaries: opt_env(
-                opts,
-                "quality-canaries",
-                "V2V_QUALITY_CANARIES",
-                v2v_serve::SentinelConfig::default().canaries,
-            )?,
+            canaries: opts.get("quality-canaries")?,
             probe_interval: std::time::Duration::from_millis(
-                opt_env(opts, "quality-probe-ms", "V2V_QUALITY_PROBE_MS", 2_000u64)?.max(1),
+                opts.get::<u64>("quality-probe-ms")?.max(1),
             ),
             churn_threshold,
             ..Default::default()
@@ -669,16 +618,14 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     };
 
     let server_config = v2v_serve::ServerConfig {
-        addr: format!("127.0.0.1:{}", opts.get("port", 7878u16)?),
-        threads: opts.get("threads", 0usize)?,
-        request_deadline: std::time::Duration::from_secs_f64(
-            opts.get("request-deadline-secs", 10.0f64)?,
-        ),
-        max_queue: opts.get("max-queue", 1024usize)?,
-        max_body: opts.get("max-body", 1024 * 1024usize)?,
-        // --keep-alive N = requests served per connection before a forced
-        // close (0 restores one-request-per-connection behavior).
-        keep_alive_requests: opt_env(opts, "keep-alive", "V2V_KEEP_ALIVE", 1024usize)?,
+        addr: format!("127.0.0.1:{}", opts.get::<u16>("port")?),
+        threads: opts.get("threads")?,
+        request_deadline: std::time::Duration::from_secs_f64(opts.get("request-deadline-secs")?),
+        max_queue: opts.get("max-queue")?,
+        max_body: opts.get("max-body")?,
+        keep_alive_requests: opts.get("keep-alive")?,
+        slow_request_ms: opts.env.slow_request_ms,
+        access_log: opts.env.access_log.clone(),
         ..Default::default()
     };
     let server = v2v_serve::Server::bind(server_config, handler)
@@ -686,7 +633,8 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     v2v_serve::signal::install();
     v2v_serve::signal::install_reload();
     v2v_serve::signal::install_dump();
-    install_flight_panic_hook();
+    let flight_dump = opts.env.flight_dump.clone();
+    install_flight_panic_hook(flight_dump.clone());
     // Watcher thread: turns SIGHUP into a state swap and SIGUSR1 into a
     // flight-recorder dump. Detached on purpose — it dies with the
     // process after the accept loop drains and main exits.
@@ -698,10 +646,11 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
             }
         }
         if v2v_serve::signal::take_dump() {
-            let path = flight_dump_path();
-            match std::fs::write(&path, v2v_obs::global_recorder().to_json()) {
-                Ok(()) => obs_info!("SIGUSR1: wrote flight recorder to {path}"),
-                Err(e) => obs_error!("SIGUSR1: cannot write flight recorder to {path}: {e}"),
+            match std::fs::write(&flight_dump, v2v_obs::global_recorder().to_json()) {
+                Ok(()) => obs_info!("SIGUSR1: wrote flight recorder to {flight_dump}"),
+                Err(e) => {
+                    obs_error!("SIGUSR1: cannot write flight recorder to {flight_dump}: {e}")
+                }
             }
         }
         std::thread::sleep(std::time::Duration::from_millis(200));
@@ -715,11 +664,11 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     // Prometheus writer is label-free, so this follows the
     // `kernels.backend.<name>` idiom): which build, which revision, which
     // kernel backend produced the quality and latency series being scraped.
-    let git_rev = std::env::var("GIT_REV").unwrap_or_else(|_| "unknown".into());
     v2v_obs::global_metrics()
         .gauge(&format!(
-            "build_info.version.{}.rev.{git_rev}.backend.{}",
+            "build_info.version.{}.rev.{}.backend.{}",
             env!("CARGO_PKG_VERSION"),
+            opts.env.git_rev,
             v2v_linalg::kernels::backend_name()
         ))
         .set(1.0);
@@ -733,8 +682,7 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     );
     obs_info!("cold start: ready in {cold_ms:.1} ms (index {index_source})");
     // The smoke test and scripts parse this line for the resolved port.
-    println!("listening on {}", server.local_addr());
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    write_stdout(|out| writeln!(out, "listening on {}", server.local_addr()))?;
     server.run().map_err(|e| format!("server error: {e}"))?;
     obs_info!("shut down cleanly");
     Ok(())
@@ -751,9 +699,9 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
 pub fn ingest(opts: &Opts) -> Result<(), String> {
     let addr = match opts.get_str("addr") {
         Some(a) => a.to_string(),
-        None => format!("127.0.0.1:{}", opts.get("port", 7878u16)?),
+        None => format!("127.0.0.1:{}", opts.get::<u16>("port")?),
     };
-    let batch_size = opts.get("batch", 512usize)?.max(1);
+    let batch_size = opts.get::<usize>("batch")?.max(1);
     let reader: Box<dyn BufRead> = match opts.get_str("input") {
         Some(path) => Box::new(BufReader::new(
             File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?,
@@ -823,9 +771,7 @@ pub fn ingest(opts: &Opts) -> Result<(), String> {
 
     obs_info!("acked {acked} edges in {batches} batches ({retries} retries after 503)");
     // Scripts parse this line — keep the shape stable.
-    println!("acked {acked} edges (last_seq {last_seq})");
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
-    Ok(())
+    write_stdout(|out| writeln!(out, "acked {acked} edges (last_seq {last_seq})"))
 }
 
 /// POSTs one /ingest body, sleeping out 503 `Retry-After` hints. Returns
@@ -891,21 +837,13 @@ fn http_post(addr: &str, path: &str, body: &str) -> Result<(u16, String, String)
     Ok((status, head.to_string(), resp_body.to_string()))
 }
 
-/// Destination for flight-recorder dumps: `V2V_FLIGHT_DUMP`, or
-/// `v2v-flight-<pid>.json` in the working directory.
-fn flight_dump_path() -> String {
-    std::env::var("V2V_FLIGHT_DUMP")
-        .unwrap_or_else(|_| format!("v2v-flight-{}.json", std::process::id()))
-}
-
 /// Chains a panic hook that dumps the flight recorder before the default
 /// hook prints the backtrace — the last seconds of request history
 /// survive even a crash that takes the whole process down.
-fn install_flight_panic_hook() {
+fn install_flight_panic_hook(path: String) {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         v2v_obs::record_event(v2v_obs::Event::new("panic", "", &info.to_string()));
-        let path = flight_dump_path();
         if std::fs::write(&path, v2v_obs::global_recorder().to_json()).is_ok() {
             eprintln!("panic: flight recorder dumped to {path}");
         }
@@ -916,14 +854,14 @@ fn install_flight_panic_hook() {
 /// `v2v project`: PCA projection to CSV (and optional SVG scatter).
 pub fn project(opts: &Opts) -> Result<(), String> {
     let embedding = load_embedding_path(opts.require("embedding")?)?;
-    let dims = opts.get("dims", 2usize)?;
+    let dims: usize = opts.get("dims")?;
     if dims < 1 || dims > embedding.dimensions() {
         return Err(format!("--dims must be in 1..={}", embedding.dimensions()));
     }
     let matrix = embedding.to_matrix();
     let (pca, points) = {
         let _span = v2v_obs::span("project");
-        v2v_linalg::Pca::fit_transform(&matrix, dims, opts.get("seed", 0u64)?)
+        v2v_linalg::Pca::fit_transform(&matrix, dims, opts.get("seed")?)
     };
     obs_info!("explained variance: {:?}", pca.explained_variance);
 
@@ -976,12 +914,7 @@ pub fn quality(opts: &Opts) -> Result<(), String> {
         ));
     }
     // Corpus diagnostics under the same walk settings `embed` would use.
-    let config = v2v_walks::WalkConfig {
-        walks_per_vertex: opts.get("walks", 10usize)?,
-        walk_length: opts.get("length", 80usize)?,
-        strategy: parse_strategy(opts)?,
-        seed: opts.get("seed", 0x5EEDu64)?,
-    };
+    let config = walk_config(opts)?;
     let corpus = v2v_walks::WalkCorpus::generate(&graph, &config)
         .map_err(|e| e.to_string())?;
     let cs = v2v_walks::stats::corpus_stats(&corpus);
@@ -989,7 +922,7 @@ pub fn quality(opts: &Opts) -> Result<(), String> {
         .then(|| v2v_walks::stats::stationary_divergence(&corpus, &graph));
     let preservation = v2v_embed::quality::neighborhood_preservation(&graph, &embedding);
     let margin =
-        v2v_embed::quality::similarity_margin(&graph, &embedding, opts.get("seed", 1u64)?);
+        v2v_embed::quality::similarity_margin(&graph, &embedding, config.seed);
     write_stdout(|out| {
         writeln!(out, "corpus coverage:            {:.3}", cs.coverage)?;
         writeln!(out, "mean walk length:           {:.1}", cs.mean_walk_length)?;
@@ -1037,8 +970,9 @@ pub fn stats(opts: &Opts) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn opts(args: &[&str]) -> Opts {
-        Opts::parse(args.iter().map(|s| s.to_string())).unwrap()
+    pub(super) fn opts(args: &[&str]) -> Opts {
+        let env = crate::opts::Env::resolve(|_| None).unwrap();
+        Opts::parse(args.iter().map(|s| s.to_string()), env).unwrap()
     }
 
     /// Two 3-vector clusters on the x axis.
@@ -1147,45 +1081,55 @@ mod tests {
     #[test]
     fn errors_are_reported_not_panicked() {
         assert!(load_graph(&opts(&["stats", "--input", "/nonexistent/file"])).is_err());
-        assert!(parse_format(&opts(&["embed", "--format", "csv"])).is_err());
-        assert!(parse_strategy(&opts(&["embed", "--strategy", "quantum"])).is_err());
         assert!(communities(&opts(&["communities", "--embedding", "/nonexistent"])).is_err());
     }
 
     #[test]
-    fn embedding_file_format_follows_extension_and_load_sniffs_all_three() {
+    fn embedding_file_format_follows_extension_and_load_sniffs_both() {
         let emb = two_cluster_embedding();
         let dir = std::env::temp_dir();
-        let bin = dir.join(format!("v2v_cli_fmt_{}.bin", std::process::id()));
         let txt = dir.join(format!("v2v_cli_fmt_{}.txt", std::process::id()));
         let v2s = dir.join(format!("v2v_cli_fmt_{}.v2s", std::process::id()));
-        for path in [&bin, &txt, &v2s] {
+        // A store under a name that does not say so: the sniff, not the
+        // extension, routes it.
+        let renamed = dir.join(format!("v2v_cli_fmt_{}.dat", std::process::id()));
+        for path in [&txt, &v2s] {
             write_embedding_file(&emb, path.to_str().unwrap()).unwrap();
         }
-
-        let bin_bytes = std::fs::read(&bin).unwrap();
-        assert!(v2v_embed::binary::is_binary_header(&bin_bytes));
+        std::fs::copy(&v2s, &renamed).unwrap();
         assert!(std::fs::read_to_string(&txt).unwrap().starts_with("6 2"));
+        assert!(std::fs::read(&v2s).unwrap().starts_with(b"V2VE"));
 
         // Every subcommand loads through this one function, so each
         // format must come back as the same vectors, bit for bit.
-        for path in [&bin, &txt, &v2s] {
+        for path in [&txt, &v2s, &renamed] {
             let loaded = load_embedding_path(path.to_str().unwrap()).unwrap();
             assert_eq!(loaded.dimensions(), 2);
             assert_eq!(loaded.as_flat(), emb.as_flat(), "{}", path.display());
         }
+
+        // The binary format `.bin` / `.v2e` used to select is gone: the
+        // extension is refused (before the input is even opened) with the
+        // `.v2s` hint rather than becoming text, and a surviving v1 file —
+        // magic, version 1, arbitrary bytes — is refused by version.
+        let bin = dir.join(format!("v2v_cli_fmt_{}.bin", std::process::id()));
+        let bin = bin.to_str().unwrap();
+        let err = embed(&opts(&["embed", "--input", "/nonexistent", "--output", bin])).unwrap_err();
+        assert!(err.contains(".v2s"), "{err}");
+        std::fs::write(bin, [&b"V2VE"[..], &1u32.to_le_bytes(), &[0u8; 100]].concat()).unwrap();
+        let err = load_embedding_path(bin).expect_err("v1 must be refused");
+        assert!(err.contains("version 1"), "{err}");
     }
 
     /// `communities` and `predict` answer identically whichever of the
-    /// three formats holds the vectors (`.v2s` used to be refused with
-    /// "unsupported format version 2").
+    /// two formats holds the vectors.
     #[test]
-    fn communities_and_predict_agree_across_text_binary_and_store() {
+    fn communities_and_predict_agree_across_text_and_store() {
         let emb = two_cluster_embedding();
         let dir = std::env::temp_dir();
         let labels = write_temp("fmt_labels", "0 0\n1 0\n2 ?\n3 1\n4 1\n5 ?\n");
         let mut outputs = Vec::new();
-        for ext in ["txt", "bin", "v2s"] {
+        for ext in ["txt", "v2s"] {
             let emb_path = dir.join(format!("v2v_cli_xfmt_{}.{ext}", std::process::id()));
             write_embedding_file(&emb, emb_path.to_str().unwrap()).unwrap();
             let comm = dir.join(format!("v2v_cli_xfmt_comm_{}_{ext}", std::process::id()));
@@ -1212,15 +1156,14 @@ mod tests {
             ));
         }
         assert_eq!(outputs[0].1, "2 0\n5 1\n");
-        assert_eq!(outputs[0], outputs[1], "text vs .bin");
-        assert_eq!(outputs[0], outputs[2], "text vs .v2s");
+        assert_eq!(outputs[0], outputs[1], "text vs .v2s");
     }
 
     #[test]
     fn predict_ann_agrees_with_exact_scan() {
         let emb = two_cluster_embedding();
         let dir = std::env::temp_dir();
-        let emb_path = dir.join(format!("v2v_cli_ann_{}.bin", std::process::id()));
+        let emb_path = dir.join(format!("v2v_cli_ann_{}.v2s", std::process::id()));
         write_embedding_file(&emb, emb_path.to_str().unwrap()).unwrap();
         let labels = write_temp("ann_labels", "0 0\n1 0\n2 0\n3 1\n4 1\n5 ?\n");
 
@@ -1296,24 +1239,13 @@ mod tests {
         let err = profile(&opts(&["profile", "--input", junk.to_str().unwrap()]))
             .expect_err("junk must be rejected");
         assert!(err.contains("not a v2v flat profile"), "got {err:?}");
-        // A valid file with an unknown --format is still an error.
-        let valid = write_temp(
-            "prof_valid",
-            "{\"v2v_profile\":1,\"hz\":97,\"wall_secs\":1.0,\"total_samples\":0,\"samples\":{}}",
-        );
-        assert!(profile(&opts(&[
-            "profile",
-            "--input", valid.to_str().unwrap(),
-            "--format", "yaml",
-        ]))
-        .is_err());
     }
 }
 
 #[cfg(test)]
 mod quality_tests {
+    use super::tests::opts;
     use super::*;
-    use crate::opts::Opts;
 
     #[test]
     fn quality_runs_on_matched_pair() {
@@ -1321,28 +1253,16 @@ mod quality_tests {
         let input = std::env::temp_dir().join(format!("v2v_q_edges_{}", std::process::id()));
         std::fs::write(&input, edges).unwrap();
         let emb_path = std::env::temp_dir().join(format!("v2v_q_emb_{}", std::process::id()));
-        let o = Opts::parse(
-            [
-                "embed", "--input", input.to_str().unwrap(),
-                "--output", emb_path.to_str().unwrap(),
-                "--dims", "6", "--epochs", "1", "--threads", "1",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
+        embed(&opts(&[
+            "embed", "--input", input.to_str().unwrap(),
+            "--output", emb_path.to_str().unwrap(),
+            "--dims", "6", "--epochs", "1", "--threads", "1",
+        ]))
         .unwrap();
-        embed(&o).unwrap();
-        let o = Opts::parse(
-            ["quality", "--input", input.to_str().unwrap(), "--embedding", emb_path.to_str().unwrap()]
-                .iter()
-                .map(|s| s.to_string()),
-        )
+        quality(&opts(&[
+            "quality", "--input", input.to_str().unwrap(), "--embedding", emb_path.to_str().unwrap(),
+        ]))
         .unwrap();
-        quality(&o).unwrap();
-    }
-
-    fn drift_opts(args: &[&str]) -> Opts {
-        Opts::parse(args.iter().map(|s| s.to_string())).unwrap()
     }
 
     fn write_text_embedding(name: &str, dims: usize, rows: &[Vec<f32>]) -> std::path::PathBuf {
@@ -1374,7 +1294,7 @@ mod quality_tests {
         let rows = circle_rows(12);
         let path = write_text_embedding("same", 2, &rows);
         let out = std::env::temp_dir().join(format!("v2v_drift_same_{}.json", std::process::id()));
-        drift(&drift_opts(&[
+        drift(&opts(&[
             "drift",
             "--a", path.to_str().unwrap(),
             "--b", path.to_str().unwrap(),
@@ -1399,7 +1319,7 @@ mod quality_tests {
         let a = write_text_embedding("pa", 2, &rows);
         let b = write_text_embedding("pb", 2, &reversed);
         let out = std::env::temp_dir().join(format!("v2v_drift_pert_{}.json", std::process::id()));
-        drift(&drift_opts(&[
+        drift(&opts(&[
             "drift",
             "--a", a.to_str().unwrap(),
             "--b", b.to_str().unwrap(),
@@ -1422,37 +1342,14 @@ mod quality_tests {
         let rows3: Vec<Vec<f32>> = (0..4).map(|i| vec![i as f32, 0.0, 1.0]).collect();
         let a = write_text_embedding("m2", 2, &rows2);
         let b = write_text_embedding("m3", 3, &rows3);
-        assert!(drift(&drift_opts(&["drift", "--b", b.to_str().unwrap()])).is_err());
-        let err = drift(&drift_opts(&[
+        assert!(drift(&opts(&["drift", "--b", b.to_str().unwrap()])).is_err());
+        let err = drift(&opts(&[
             "drift",
             "--a", a.to_str().unwrap(),
             "--b", b.to_str().unwrap(),
         ]))
         .expect_err("dims mismatch must be rejected");
         assert!(err.contains("dimensionality mismatch"), "got {err:?}");
-        assert!(drift(&drift_opts(&[
-            "drift",
-            "--a", a.to_str().unwrap(),
-            "--b", a.to_str().unwrap(),
-            "--format", "yaml",
-        ]))
-        .is_err());
-    }
-
-    #[test]
-    fn opt_env_prefers_flag_over_environment_over_default() {
-        // Unique env name per test run: set_var is process-global.
-        let env = format!("V2V_TEST_OPT_ENV_{}", std::process::id());
-        let flagged = drift_opts(&["drift", "--quality-canaries", "7"]);
-        let bare = drift_opts(&["drift"]);
-
-        assert_eq!(opt_env(&bare, "quality-canaries", &env, 64usize).unwrap(), 64);
-        std::env::set_var(&env, "31");
-        assert_eq!(opt_env(&bare, "quality-canaries", &env, 64usize).unwrap(), 31);
-        assert_eq!(opt_env(&flagged, "quality-canaries", &env, 64usize).unwrap(), 7);
-        std::env::set_var(&env, "not-a-number");
-        assert!(opt_env(&bare, "quality-canaries", &env, 64usize).is_err());
-        std::env::remove_var(&env);
     }
 
     #[test]
@@ -1462,12 +1359,9 @@ mod quality_tests {
         std::fs::write(&input, edges).unwrap();
         let emb = std::env::temp_dir().join(format!("v2v_qm_emb_{}", std::process::id()));
         std::fs::write(&emb, "2 2\n0 1.0 0.0\n1 0.0 1.0\n").unwrap();
-        let o = Opts::parse(
-            ["quality", "--input", input.to_str().unwrap(), "--embedding", emb.to_str().unwrap()]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .unwrap();
-        assert!(quality(&o).is_err());
+        assert!(quality(&opts(&[
+            "quality", "--input", input.to_str().unwrap(), "--embedding", emb.to_str().unwrap(),
+        ]))
+        .is_err());
     }
 }

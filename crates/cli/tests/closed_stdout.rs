@@ -19,7 +19,8 @@ fn writing_into_a_closed_pipe_is_an_error_not_a_panic() {
         "{\"v2v_profile\": 1, \"hz\": 100, \"wall_secs\": 1.0, \"samples\": {\"forward\": 3}}",
     );
 
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 5] = [
+        &["help"],
         &["drift", "--a", &emb, "--b", &emb, "--k", "1"],
         &["stats", "--input", &edges],
         &["quality", "--input", &edges, "--embedding", &emb, "--walks", "2", "--length", "5"],

@@ -9,9 +9,9 @@
 //! streams are derived from `(seed, epoch, walk index)`, so no mutable RNG
 //! state needs saving: restoring the epoch counter restores the streams.
 //!
-//! Layout (all integers little-endian), sharing the `V2VE` family's FNV-1a
-//! checksumming but organized as self-describing chunked sections so the
-//! container can grow without a format break:
+//! Layout (all integers little-endian): FNV-1a checksummed,
+//! self-describing chunked sections, so the container can grow without a
+//! format break:
 //!
 //! ```text
 //! offset  size   field
@@ -30,7 +30,6 @@
 //! flight) is pinpointed to the section it corrupts. Unknown tags are
 //! skipped if their checksum holds, so old readers survive new sections.
 
-use crate::binary::BinaryIoError;
 use crate::config::{Architecture, EmbedConfig, OutputLayer};
 use std::path::{Path, PathBuf};
 use v2v_base::hash::{fnv1a64, FNV_OFFSET};
@@ -43,6 +42,32 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// File name used inside a `--checkpoint-dir`.
 pub const FILE_NAME: &str = "train.v2vc";
+
+/// Errors while reading or writing a checkpoint file.
+#[derive(Debug)]
+pub enum CheckpointError {
+    /// Underlying I/O failure.
+    Io(std::io::Error),
+    /// Structurally invalid content (bad magic/version/shape/checksum).
+    Format(String),
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Io(e) => write!(f, "i/o error: {e}"),
+            CheckpointError::Format(msg) => write!(f, "checkpoint format error: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+impl From<std::io::Error> for CheckpointError {
+    fn from(e: std::io::Error) -> Self {
+        CheckpointError::Io(e)
+    }
+}
 
 /// The checkpoint file path inside `dir`.
 pub fn path_in(dir: &Path) -> PathBuf {
@@ -179,8 +204,8 @@ impl TrainCheckpoint {
     }
 
     /// Parses a V2VC container, verifying every section checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint, BinaryIoError> {
-        let fail = |msg: String| Err(BinaryIoError::Format(msg));
+    pub fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
+        let fail = |msg: String| Err(CheckpointError::Format(msg));
         if bytes.len() < 12 {
             return fail(format!("checkpoint too short ({} bytes)", bytes.len()));
         }
@@ -202,18 +227,18 @@ impl TrainCheckpoint {
             let header_end = at
                 .checked_add(12)
                 .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| BinaryIoError::Format(format!("section {i} header truncated")))?;
+                .ok_or_else(|| CheckpointError::Format(format!("section {i} header truncated")))?;
             let tag: [u8; 4] = bytes[at..at + 4].try_into().unwrap();
             let len = u64::from_le_bytes(bytes[at + 4..header_end].try_into().unwrap());
             let len = usize::try_from(len)
                 .ok()
                 .filter(|&l| l <= bytes.len() - header_end)
-                .ok_or_else(|| BinaryIoError::Format(format!("section {i} length truncated")))?;
+                .ok_or_else(|| CheckpointError::Format(format!("section {i} length truncated")))?;
             let payload_end = header_end + len;
             let checksum_end = payload_end
                 .checked_add(8)
                 .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| BinaryIoError::Format(format!("section {i} checksum truncated")))?;
+                .ok_or_else(|| CheckpointError::Format(format!("section {i} checksum truncated")))?;
             let stored = u64::from_le_bytes(bytes[payload_end..checksum_end].try_into().unwrap());
             let computed = fnv1a64(FNV_OFFSET, &bytes[at..payload_end]);
             if stored != computed {
@@ -237,11 +262,11 @@ impl TrainCheckpoint {
         }
 
         let (fingerprint, next_epoch, epochs_total, processed, total_pairs) =
-            meta.ok_or_else(|| BinaryIoError::Format("missing META section".into()))?;
+            meta.ok_or_else(|| CheckpointError::Format("missing META section".into()))?;
         let epoch_losses =
-            losses.ok_or_else(|| BinaryIoError::Format("missing LOSS section".into()))?;
-        let syn0 = syn0.ok_or_else(|| BinaryIoError::Format("missing SYN0 section".into()))?;
-        let syn1 = syn1.ok_or_else(|| BinaryIoError::Format("missing SYN1 section".into()))?;
+            losses.ok_or_else(|| CheckpointError::Format("missing LOSS section".into()))?;
+        let syn0 = syn0.ok_or_else(|| CheckpointError::Format("missing SYN0 section".into()))?;
+        let syn1 = syn1.ok_or_else(|| CheckpointError::Format("missing SYN1 section".into()))?;
         if epoch_losses.len() != next_epoch {
             return fail(format!(
                 "loss history has {} entries but {next_epoch} epochs completed",
@@ -262,36 +287,36 @@ impl TrainCheckpoint {
 
     /// Atomically writes the checkpoint to `path` (crash leaves the old
     /// checkpoint or the new one, never a torn file).
-    pub fn save(&self, path: &Path) -> Result<(), BinaryIoError> {
-        v2v_fault::io::write_atomic(path, &self.to_bytes()).map_err(BinaryIoError::Io)
+    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+        v2v_fault::io::write_atomic(path, &self.to_bytes()).map_err(CheckpointError::Io)
     }
 
     /// Loads and verifies a checkpoint file.
-    pub fn load(path: &Path) -> Result<TrainCheckpoint, BinaryIoError> {
+    pub fn load(path: &Path) -> Result<TrainCheckpoint, CheckpointError> {
         let bytes = std::fs::read(path)?;
         TrainCheckpoint::from_bytes(&bytes)
     }
 }
 
-fn parse_meta(p: &[u8]) -> Result<(u64, usize, usize, u64, u64), BinaryIoError> {
+fn parse_meta(p: &[u8]) -> Result<(u64, usize, usize, u64, u64), CheckpointError> {
     if p.len() != 40 {
-        return Err(BinaryIoError::Format(format!("META section is {} bytes, expected 40", p.len())));
+        return Err(CheckpointError::Format(format!("META section is {} bytes, expected 40", p.len())));
     }
     let u64_at = |i: usize| u64::from_le_bytes(p[i..i + 8].try_into().unwrap());
     let idx = |i: usize, what: &str| {
         usize::try_from(u64_at(i))
-            .map_err(|_| BinaryIoError::Format(format!("{what} does not fit in usize")))
+            .map_err(|_| CheckpointError::Format(format!("{what} does not fit in usize")))
     };
     Ok((u64_at(0), idx(8, "next_epoch")?, idx(16, "epochs_total")?, u64_at(24), u64_at(32)))
 }
 
-fn parse_losses(p: &[u8]) -> Result<Vec<f64>, BinaryIoError> {
+fn parse_losses(p: &[u8]) -> Result<Vec<f64>, CheckpointError> {
     if p.len() < 4 {
-        return Err(BinaryIoError::Format("LOSS section truncated".into()));
+        return Err(CheckpointError::Format("LOSS section truncated".into()));
     }
     let count = u32::from_le_bytes(p[..4].try_into().unwrap()) as usize;
     if p.len() != 4 + count * 8 {
-        return Err(BinaryIoError::Format(format!(
+        return Err(CheckpointError::Format(format!(
             "LOSS section is {} bytes for {count} losses",
             p.len()
         )));
@@ -302,18 +327,18 @@ fn parse_losses(p: &[u8]) -> Result<Vec<f64>, BinaryIoError> {
         .collect())
 }
 
-fn parse_matrix(p: &[u8], tag: &str) -> Result<(usize, usize, Vec<f32>), BinaryIoError> {
+fn parse_matrix(p: &[u8], tag: &str) -> Result<(usize, usize, Vec<f32>), CheckpointError> {
     if p.len() < 12 {
-        return Err(BinaryIoError::Format(format!("{tag} section truncated")));
+        return Err(CheckpointError::Format(format!("{tag} section truncated")));
     }
     let rows = u64::from_le_bytes(p[..8].try_into().unwrap());
     let cols = u32::from_le_bytes(p[8..12].try_into().unwrap()) as usize;
     let values = usize::try_from(rows)
         .ok()
         .and_then(|r| r.checked_mul(cols))
-        .ok_or_else(|| BinaryIoError::Format(format!("{tag} shape {rows} x {cols} overflows")))?;
+        .ok_or_else(|| CheckpointError::Format(format!("{tag} shape {rows} x {cols} overflows")))?;
     if p.len() != 12 + values * 4 {
-        return Err(BinaryIoError::Format(format!(
+        return Err(CheckpointError::Format(format!(
             "{tag} section is {} bytes for shape {rows} x {cols}",
             p.len()
         )));

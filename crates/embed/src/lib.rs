@@ -20,9 +20,8 @@
 //!   queries.
 //! * [`quality`] — intrinsic embedding-quality diagnostics
 //!   (neighborhood preservation, similarity margin).
-//! * [`io`] — word2vec-compatible text save/load.
-//! * [`binary`] — versioned binary save/load (header + checksum), the
-//!   serving format `v2v-serve` loads without re-parsing text.
+//! * [`io`] — word2vec-compatible text save/load (the binary format is
+//!   the `.v2s` store in `v2v-store`).
 //! * [`checkpoint`] — crash-safe training snapshots (chunked, per-section
 //!   checksummed container) enabling kill-and-resume training.
 //!
@@ -41,7 +40,6 @@
 //! assert_eq!(stats.epochs_run, 2);
 //! ```
 
-pub mod binary;
 pub mod checkpoint;
 pub mod config;
 pub mod embedding;

@@ -29,7 +29,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use v2v_linalg::kernels;
 use v2v_graph::VertexId;
-use v2v_obs::perf_counters::ThreadCounters;
 use v2v_obs::perthread::{set_phase, Phase, WorkerTable};
 use v2v_obs::ConcurrencyReport;
 use v2v_walks::rng::derive_seed;
@@ -51,9 +50,7 @@ pub struct TrainStats {
     /// `epoch` completed epochs.
     pub resumed_from: Option<usize>,
     /// Per-worker attribution of this run: pairs/busy/wait per thread,
-    /// throughput skew, barrier-wait fraction, and hardware cache-miss
-    /// rates when `perf_event_open` is available (`perf_note` explains
-    /// when it is not).
+    /// throughput skew and barrier-wait fraction.
     pub concurrency: ConcurrencyReport,
 }
 
@@ -251,13 +248,6 @@ pub fn train_source_with_checkpoints<S: WalkSource + ?Sized>(
     // scramble each other's attribution. The table still publishes into
     // the global registry per epoch, so `/metricz` sees the live view.
     let workers = WorkerTable::new();
-    // Probe hardware-counter availability once so the final report can
-    // say *why* cache-miss columns are null (containers and locked-down
-    // kernels commonly deny `perf_event_open`).
-    let perf_note = match v2v_obs::perf_counters::probe() {
-        Ok(()) => String::new(),
-        Err(reason) => reason,
-    };
     // Record which kernel backend runs the hot loop, so --metrics exports
     // and bench sidecars identify what produced the numbers.
     metrics
@@ -410,7 +400,7 @@ pub fn train_source_with_checkpoints<S: WalkSource + ?Sized>(
 
     run_all(&mut stats)?;
     drop(train_span);
-    stats.concurrency = workers.report(&perf_note);
+    stats.concurrency = workers.report();
 
     Ok((Embedding::from_flat(dim, syn0.to_vec()), stats))
 }
@@ -600,9 +590,9 @@ fn resolve_workers(threads: usize, walks: usize) -> usize {
 /// keep their *global* indexes, so per-walk RNG streams do not depend on
 /// the split.
 /// Each worker records into its own cache-line-padded [`WorkerTable`]
-/// slot: pairs and walks as it goes, busy time and hardware counters per
-/// chunk, and — computed by the parent after the join — how long it sat
-/// at the epoch barrier waiting for the slowest sibling. That wait is
+/// slot: pairs and walks as it goes, busy time per chunk, and — computed
+/// by the parent after the join — how long it sat at the epoch barrier
+/// waiting for the slowest sibling. That wait is
 /// wall-clock by construction: a blocked thread burns no CPU, so the
 /// SIGPROF profiler cannot see it, and these two measurements are
 /// deliberately complementary (profiler = CPU split, slots = wall split).
@@ -622,8 +612,6 @@ fn run_epoch_parallel<S: WalkSource + ?Sized>(
                 let hi = ((w + 1) * chunk).min(num_walks);
                 s.spawn(move || {
                     let slot = workers.slot(w);
-                    let counters = ThreadCounters::open();
-                    counters.start();
                     let started = Instant::now();
                     set_phase(Phase::WalkFetch);
                     let mut loss = 0.0f64;
@@ -635,9 +623,6 @@ fn run_epoch_parallel<S: WalkSource + ?Sized>(
                         slot.add_walk(p);
                     });
                     slot.add_busy(started.elapsed().as_nanos() as u64);
-                    if let Some(r) = counters.stop() {
-                        slot.add_perf(r.cycles, r.instructions, r.cache_misses, r.llc_load_misses);
-                    }
                     set_phase(Phase::BarrierWait);
                     (loss, pairs, Instant::now())
                 })
@@ -669,8 +654,6 @@ fn run_epoch_sequential<S: WalkSource + ?Sized>(
     workers: &WorkerTable,
 ) -> (f64, u64) {
     let slot = workers.slot(0);
-    let counters = ThreadCounters::open();
-    counters.start();
     let started = Instant::now();
     set_phase(Phase::WalkFetch);
     let mut loss = 0.0;
@@ -682,9 +665,6 @@ fn run_epoch_sequential<S: WalkSource + ?Sized>(
         slot.add_walk(p);
     });
     slot.add_busy(started.elapsed().as_nanos() as u64);
-    if let Some(r) = counters.stop() {
-        slot.add_perf(r.cycles, r.instructions, r.cache_misses, r.llc_load_misses);
-    }
     set_phase(Phase::Idle);
     (loss, pairs)
 }
@@ -1117,8 +1097,6 @@ mod tests {
         assert!(report.per_thread_pairs.iter().all(|&p| p > 0), "a worker starved: {report:?}");
         assert!(report.throughput_skew >= 1.0);
         assert!((0.0..1.0).contains(&report.barrier_wait_frac), "{report:?}");
-        // Hardware columns: populated or explained, never silently absent.
-        assert_eq!(report.cache_miss_per_pair.is_none(), !report.perf_note.is_empty());
     }
 
     #[test]

@@ -39,9 +39,6 @@
 //! * **Per-thread training telemetry** ([`perthread`]) — cache-line-padded
 //!   per-worker stat slots and cheap phase tags, aggregated into bounded
 //!   `train.thread.N.*` gauges plus skew/imbalance summaries.
-//! * **Hardware counters** ([`perf_counters`]) — raw-syscall
-//!   `perf_event_open` (Linux x86-64; graceful stub elsewhere or when
-//!   denied) for cycles / instructions / cache misses per training thread.
 //! * **Self-sampling profiler** ([`sampler`]) — SIGPROF/itimer flat
 //!   profiles over the phase tags, dumped by `v2v embed --profile` and
 //!   rendered by `v2v profile`.
@@ -56,7 +53,6 @@ pub mod export;
 pub mod json;
 pub mod log;
 pub mod metrics;
-pub mod perf_counters;
 pub mod perthread;
 pub mod prometheus;
 pub mod quality;
@@ -69,7 +65,6 @@ pub mod window;
 pub use export::Telemetry;
 pub use log::{log_enabled, max_level, Level};
 pub use metrics::{global as global_metrics, Counter, Gauge, Histogram, Registry};
-pub use perf_counters::{CounterReading, ThreadCounters};
 pub use perthread::{
     current_phase, set_phase, workers, ConcurrencyReport, Phase, WorkerTable,
 };

@@ -131,16 +131,6 @@ pub struct WorkerSlot {
     busy_ns: AtomicU64,
     /// Nanoseconds spent at the epoch barrier waiting for slower workers.
     wait_ns: AtomicU64,
-    /// Hardware cycles, when perf counters are readable.
-    cycles: AtomicU64,
-    /// Retired instructions, when perf counters are readable.
-    instructions: AtomicU64,
-    /// Cache misses (all levels), when perf counters are readable.
-    cache_misses: AtomicU64,
-    /// Last-level-cache load misses, when perf counters are readable.
-    llc_load_misses: AtomicU64,
-    /// Number of perf-counter readings folded in (0 = no hardware data).
-    perf_readings: AtomicU64,
 }
 
 /// `WorkerSlot` must start on its own cache line *and* span a whole number
@@ -169,26 +159,12 @@ impl WorkerSlot {
         self.wait_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Folds in one hardware-counter reading.
-    pub fn add_perf(&self, cycles: u64, instructions: u64, cache_misses: u64, llc_load_misses: u64) {
-        self.cycles.fetch_add(cycles, Ordering::Relaxed);
-        self.instructions.fetch_add(instructions, Ordering::Relaxed);
-        self.cache_misses.fetch_add(cache_misses, Ordering::Relaxed);
-        self.llc_load_misses.fetch_add(llc_load_misses, Ordering::Relaxed);
-        self.perf_readings.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn load(&self) -> WorkerSnapshot {
         WorkerSnapshot {
             pairs: self.pairs.load(Ordering::Relaxed),
             walks: self.walks.load(Ordering::Relaxed),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
             wait_ns: self.wait_ns.load(Ordering::Relaxed),
-            cycles: self.cycles.load(Ordering::Relaxed),
-            instructions: self.instructions.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            llc_load_misses: self.llc_load_misses.load(Ordering::Relaxed),
-            perf_readings: self.perf_readings.load(Ordering::Relaxed),
         }
     }
 
@@ -197,11 +173,6 @@ impl WorkerSlot {
         self.walks.store(0, Ordering::Relaxed);
         self.busy_ns.store(0, Ordering::Relaxed);
         self.wait_ns.store(0, Ordering::Relaxed);
-        self.cycles.store(0, Ordering::Relaxed);
-        self.instructions.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.llc_load_misses.store(0, Ordering::Relaxed);
-        self.perf_readings.store(0, Ordering::Relaxed);
     }
 }
 
@@ -212,11 +183,6 @@ pub struct WorkerSnapshot {
     pub walks: u64,
     pub busy_ns: u64,
     pub wait_ns: u64,
-    pub cycles: u64,
-    pub instructions: u64,
-    pub cache_misses: u64,
-    pub llc_load_misses: u64,
-    pub perf_readings: u64,
 }
 
 /// Aggregate attribution of one training run's concurrency behaviour,
@@ -240,15 +206,6 @@ pub struct ConcurrencyReport {
     /// Fraction of total worker time spent waiting at epoch barriers:
     /// `sum(wait) / (sum(busy) + sum(wait))`.
     pub barrier_wait_frac: f64,
-    /// Hardware cache misses per trained pair, when counters were readable.
-    pub cache_miss_per_pair: Option<f64>,
-    /// LLC load misses per trained pair, when counters were readable.
-    pub llc_load_miss_per_pair: Option<f64>,
-    /// Retired instructions per cycle, when counters were readable.
-    pub instructions_per_cycle: Option<f64>,
-    /// Why the hardware-counter fields are `None` (syscall denied,
-    /// unsupported platform, ...). Empty when they are populated.
-    pub perf_note: String,
 }
 
 /// Fixed table of [`MAX_WORKERS`] padded slots, registered process-global
@@ -305,20 +262,14 @@ impl WorkerTable {
     }
 
     /// Computes the run-level attribution summary from the active slots.
-    /// `perf_note` should explain missing hardware counters ("" = present).
-    pub fn report(&self, perf_note: &str) -> ConcurrencyReport {
+    pub fn report(&self) -> ConcurrencyReport {
         let snaps = self.snapshot();
-        let mut report = ConcurrencyReport {
-            threads: snaps.len(),
-            perf_note: perf_note.to_string(),
-            ..Default::default()
-        };
+        let mut report = ConcurrencyReport { threads: snaps.len(), ..Default::default() };
         if snaps.is_empty() {
             return report;
         }
         let mut rates = Vec::with_capacity(snaps.len());
-        let (mut busy, mut wait, mut pairs) = (0u64, 0u64, 0u64);
-        let (mut cycles, mut instr, mut misses, mut llc, mut readings) = (0u64, 0, 0, 0, 0u64);
+        let (mut busy, mut wait) = (0u64, 0u64);
         for s in &snaps {
             report.per_thread_pairs.push(s.pairs);
             report.per_thread_busy_secs.push(s.busy_ns as f64 / 1e9);
@@ -328,25 +279,12 @@ impl WorkerTable {
             }
             busy += s.busy_ns;
             wait += s.wait_ns;
-            pairs += s.pairs;
-            cycles += s.cycles;
-            instr += s.instructions;
-            misses += s.cache_misses;
-            llc += s.llc_load_misses;
-            readings += s.perf_readings;
         }
         let mean_rate = rates.iter().sum::<f64>() / rates.len().max(1) as f64;
         let max_rate = rates.iter().cloned().fold(0.0f64, f64::max);
         report.throughput_skew = if mean_rate > 0.0 { max_rate / mean_rate } else { 1.0 };
         let total = busy + wait;
         report.barrier_wait_frac = if total > 0 { wait as f64 / total as f64 } else { 0.0 };
-        if readings > 0 && pairs > 0 {
-            report.cache_miss_per_pair = Some(misses as f64 / pairs as f64);
-            report.llc_load_miss_per_pair = Some(llc as f64 / pairs as f64);
-            if cycles > 0 {
-                report.instructions_per_cycle = Some(instr as f64 / cycles as f64);
-            }
-        }
         report
     }
 
@@ -354,10 +292,9 @@ impl WorkerTable {
     /// `train.thread.N.pairs`, `train.thread.N.pairs_per_sec`,
     /// `train.thread.N.busy_secs`, `train.thread.N.wait_frac`, plus the
     /// summary gauges `train.threads.active`,
-    /// `train.threads.throughput_skew`, `train.threads.barrier_wait_frac`,
-    /// and (when counters are readable) `train.threads.cache_miss_per_pair`.
+    /// `train.threads.throughput_skew` and `train.threads.barrier_wait_frac`.
     pub fn publish(&self, registry: &Registry) {
-        let report = self.report("");
+        let report = self.report();
         for (w, s) in self.snapshot().iter().enumerate() {
             let busy_secs = s.busy_ns as f64 / 1e9;
             registry.gauge(&format!("train.thread.{w}.pairs")).set(s.pairs as f64);
@@ -374,21 +311,10 @@ impl WorkerTable {
                     .gauge(&format!("train.thread.{w}.wait_frac"))
                     .set(s.wait_ns as f64 / total_ns as f64);
             }
-            if s.perf_readings > 0 && s.pairs > 0 {
-                registry
-                    .gauge(&format!("train.thread.{w}.cache_miss_per_pair"))
-                    .set(s.cache_misses as f64 / s.pairs as f64);
-            }
         }
         registry.gauge("train.threads.active").set(report.threads as f64);
         registry.gauge("train.threads.throughput_skew").set(report.throughput_skew);
         registry.gauge("train.threads.barrier_wait_frac").set(report.barrier_wait_frac);
-        if let Some(miss) = report.cache_miss_per_pair {
-            registry.gauge("train.threads.cache_miss_per_pair").set(miss);
-        }
-        if let Some(ipc) = report.instructions_per_cycle {
-            registry.gauge("train.threads.instructions_per_cycle").set(ipc);
-        }
     }
 }
 
@@ -452,37 +378,23 @@ mod tests {
         table.slot(1).add_walk(500);
         table.slot(1).add_busy(1_000_000_000);
         table.slot(1).add_wait(1_000_000_000);
-        let report = table.report("");
+        let report = table.report();
         assert_eq!(report.threads, 2);
         assert_eq!(report.per_thread_pairs, vec![1000, 500]);
         // Rates are 1000/s and 500/s: mean 750, max 1000 -> skew 4/3.
         assert!((report.throughput_skew - 4.0 / 3.0).abs() < 1e-9);
         // 1 s wait out of 3 s total worker time.
         assert!((report.barrier_wait_frac - 1.0 / 3.0).abs() < 1e-9);
-        assert_eq!(report.cache_miss_per_pair, None, "no perf readings recorded");
-    }
-
-    #[test]
-    fn report_includes_perf_when_read() {
-        let table = WorkerTable::new();
-        table.slot(0).add_walk(100);
-        table.slot(0).add_busy(1_000);
-        table.slot(0).add_perf(10_000, 20_000, 500, 50);
-        let report = table.report("");
-        assert_eq!(report.cache_miss_per_pair, Some(5.0));
-        assert_eq!(report.llc_load_miss_per_pair, Some(0.5));
-        assert_eq!(report.instructions_per_cycle, Some(2.0));
     }
 
     #[test]
     fn reset_clears_everything() {
         let table = WorkerTable::new();
         table.slot(2).add_walk(9);
-        table.slot(2).add_perf(1, 2, 3, 4);
         table.reset();
         assert_eq!(table.active(), 0);
         assert!(table.snapshot().is_empty());
-        assert_eq!(table.report("n/a").threads, 0);
+        assert_eq!(table.report().threads, 0);
     }
 
     #[test]
@@ -501,6 +413,5 @@ mod tests {
         assert_eq!(snap.gauges["train.thread.1.pairs"], 20.0);
         assert!(snap.gauges["train.thread.1.wait_frac"] > 0.0);
         assert!(snap.gauges["train.threads.throughput_skew"] >= 1.0);
-        assert!(!snap.gauges.contains_key("train.threads.cache_miss_per_pair"));
     }
 }

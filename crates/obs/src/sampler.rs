@@ -19,9 +19,8 @@
 //! One profiler may run at a time (enforced with a CAS); [`SelfProfiler`]
 //! disarms the timer on drop. The result is a [`FlatProfile`] that
 //! serializes to JSON (`v2v embed --profile <path>`) and renders as an
-//! aligned text table (`v2v profile`). Sampling frequency comes from
-//! `V2V_PROFILE_HZ` (default 97 Hz — prime, so it cannot phase-lock with
-//! epoch or walk boundaries).
+//! aligned text table (`v2v profile`). The caller picks the sampling
+//! frequency (the CLI: `V2V_PROFILE_HZ`, default [`DEFAULT_HZ`]).
 //!
 //! On non-unix targets `SelfProfiler::start` returns an error and
 //! everything else compiles to no-ops.
@@ -35,16 +34,6 @@ use crate::perthread::Phase;
 /// Default sampling frequency (Hz). Prime, to avoid phase-locking with
 /// any periodic structure in the training loop.
 pub const DEFAULT_HZ: u64 = 97;
-
-/// Sampling frequency from `V2V_PROFILE_HZ`, clamped to [1, 10_000];
-/// unset or unparsable yields [`DEFAULT_HZ`].
-pub fn hz_from_env() -> u64 {
-    std::env::var("V2V_PROFILE_HZ")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .map(|hz| hz.clamp(1, 10_000))
-        .unwrap_or(DEFAULT_HZ)
-}
 
 /// Per-phase sample counts, indexed by `Phase as u8`. Static (not part of
 /// the profiler object) because the signal handler cannot capture state.
@@ -69,9 +58,9 @@ pub struct SelfProfiler {
 }
 
 impl SelfProfiler {
-    /// Arms `ITIMER_PROF` at `hz` samples per second of process CPU time
-    /// and installs the SIGPROF handler. Errors if a profiler is already
-    /// running or the platform has no profiling timer.
+    /// Arms `ITIMER_PROF` at `hz` (clamped to 1..=10000) samples per second
+    /// of process CPU time and installs the SIGPROF handler. Errors if a
+    /// profiler is already running or the platform has no profiling timer.
     pub fn start(hz: u64) -> Result<SelfProfiler, String> {
         let hz = hz.clamp(1, 10_000);
         if RUNNING

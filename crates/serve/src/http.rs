@@ -39,9 +39,9 @@
 //! machinery as the training pipeline. Each request carries a trace
 //! context: the client's `X-Request-Id` (validated) or a generated ID is
 //! echoed on every response — including sheds and parse failures — logged
-//! on the structured access log (`V2V_ACCESS_LOG`), and stamped on the
-//! flight-recorder events (`/tracez`); requests slower than
-//! `V2V_SLOW_REQUEST_MS` (default 250) additionally log the span tree.
+//! on the structured access log ([`ServerConfig::access_log`]), and
+//! stamped on the flight-recorder events (`/tracez`); requests slower than
+//! [`ServerConfig::slow_request_ms`] additionally log the span tree.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -79,6 +79,14 @@ pub struct ServerConfig {
     /// Whether the accept loop also honors process signals
     /// ([`crate::signal::requested`]); tests turn this off.
     pub watch_signals: bool,
+    /// Latency (ms) at or beyond which a request is logged as slow, with
+    /// its span tree.
+    pub slow_request_ms: f64,
+    /// Structured access log: one JSON line per request to this file path
+    /// (opened for append at bind), or to stderr if it is `"stderr"`;
+    /// `None` = off. Each line carries the request ID the client received,
+    /// so client logs, this log, and `/tracez` join on one key.
+    pub access_log: Option<String>,
 }
 
 impl Default for ServerConfig {
@@ -93,6 +101,8 @@ impl Default for ServerConfig {
             keep_alive_requests: 1024,
             idle_timeout: Duration::from_secs(5),
             watch_signals: true,
+            slow_request_ms: 250.0,
+            access_log: None,
         }
     }
 }
@@ -218,19 +228,33 @@ pub struct Server {
     local_addr: SocketAddr,
     config: ServerConfig,
     handler: Handler,
+    access_log: Option<Arc<AccessLog>>,
     shutdown: Arc<AtomicBool>,
 }
 
 impl Server {
-    /// Binds `config.addr` and prepares the worker pool configuration.
+    /// Binds `config.addr`, opens the access log if one is configured, and
+    /// prepares the worker pool configuration.
     pub fn bind(config: ServerConfig, handler: Handler) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
+        let access_log = match config.access_log.as_deref() {
+            None => None,
+            Some("stderr") => Some(AccessLog::Stderr),
+            Some(path) => {
+                let file = std::fs::OpenOptions::new().create(true).append(true).open(path);
+                let file = file.map_err(|e| {
+                    std::io::Error::new(e.kind(), format!("cannot open access log {path}: {e}"))
+                })?;
+                Some(AccessLog::File(Mutex::new(file)))
+            }
+        };
         Ok(Server {
             listener,
             local_addr,
             config,
             handler,
+            access_log: access_log.map(Arc::new),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -280,6 +304,7 @@ impl Server {
                 let queue = queue.clone();
                 let handler = self.handler.clone();
                 let config = self.config.clone();
+                let access_log = self.access_log.clone();
                 let stopping = stopping.clone();
                 std::thread::spawn(move || loop {
                     let stream = {
@@ -295,7 +320,13 @@ impl Server {
                         }
                     };
                     match stream {
-                        Some(stream) => handle_connection(stream, &handler, &config, &stopping),
+                        Some(stream) => handle_connection(
+                            stream,
+                            &handler,
+                            &config,
+                            access_log.as_deref(),
+                            &stopping,
+                        ),
                         None => return,
                     }
                 })
@@ -486,6 +517,7 @@ fn handle_connection(
     stream: TcpStream,
     handler: &Handler,
     config: &ServerConfig,
+    access_log: Option<&AccessLog>,
     stopping: &AtomicBool,
 ) {
     let metrics = v2v_obs::global_metrics();
@@ -629,7 +661,7 @@ fn handle_connection(
             .with_status(response.status)
             .with_latency_ms(latency_ms),
         );
-        if latency_ms >= slow_request_ms() {
+        if latency_ms >= config.slow_request_ms {
             // Outliers get the full span tree so "what was slow" is
             // answerable from the log alone.
             v2v_obs::record_event(
@@ -642,7 +674,10 @@ fn handle_connection(
                 v2v_obs::Telemetry::capture_global().summary()
             );
         }
-        access_log(&request_id, &method, &path, response.status, response.body.len(), latency_ms);
+        if let Some(sink) = access_log {
+            let bytes = response.body.len();
+            write_access_log(sink, &request_id, &method, &path, response.status, bytes, latency_ms);
+        }
 
         encode_response(&mut conn.out, &response, close);
         served += 1;
@@ -669,24 +704,16 @@ fn endpoint_name(path: &str) -> Option<&str> {
     (!name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric())).then_some(name)
 }
 
-/// Latency (ms) beyond which a request is logged as slow with its span
-/// tree; `V2V_SLOW_REQUEST_MS` overrides the 250 ms default.
-fn slow_request_ms() -> f64 {
-    static THRESHOLD: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("V2V_SLOW_REQUEST_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|v: &f64| v.is_finite() && *v > 0.0)
-            .unwrap_or(250.0)
-    })
+/// The opened destination of [`ServerConfig::access_log`], shared by the
+/// workers of one server.
+enum AccessLog {
+    Stderr,
+    File(Mutex<std::fs::File>),
 }
 
-/// Structured access log: one JSON line per request to the destination
-/// named by `V2V_ACCESS_LOG` (a file path, or `stderr`; unset = off).
-/// The line carries the same request ID the client received, so client
-/// logs, this log, and `/tracez` join on one key.
-fn access_log(
+/// Appends one request's JSON line to `sink`.
+fn write_access_log(
+    sink: &AccessLog,
     request_id: &str,
     method: &str,
     path: &str,
@@ -694,23 +721,6 @@ fn access_log(
     bytes: usize,
     latency_ms: f64,
 ) {
-    enum Sink {
-        Stderr,
-        File(Mutex<std::fs::File>),
-    }
-    static SINK: std::sync::OnceLock<Option<Sink>> = std::sync::OnceLock::new();
-    let sink = SINK.get_or_init(|| match std::env::var("V2V_ACCESS_LOG") {
-        Err(_) => None,
-        Ok(dest) if dest == "stderr" => Some(Sink::Stderr),
-        Ok(dest) => match std::fs::OpenOptions::new().create(true).append(true).open(&dest) {
-            Ok(f) => Some(Sink::File(Mutex::new(f))),
-            Err(e) => {
-                v2v_obs::obs_error!("cannot open access log {dest}: {e}");
-                None
-            }
-        },
-    });
-    let Some(sink) = sink else { return };
     let mut line = format!("{{\"ts_ms\": {}, \"request_id\": ", v2v_obs::recorder::now_ms());
     v2v_obs::json::write_escaped(&mut line, request_id);
     line.push_str(", \"method\": ");
@@ -724,8 +734,8 @@ fn access_log(
     v2v_obs::json::write_f64(&mut line, latency_ms);
     line.push_str("}\n");
     match sink {
-        Sink::Stderr => eprint!("{line}"),
-        Sink::File(f) => {
+        AccessLog::Stderr => eprint!("{line}"),
+        AccessLog::File(f) => {
             let _ = f.lock().unwrap().write_all(line.as_bytes());
         }
     }

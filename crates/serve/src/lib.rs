@@ -10,8 +10,8 @@
 //!   `f32` vectors: configurable `M` / `ef_construction` / `ef_search`,
 //!   cosine and Euclidean metrics, batched-parallel construction, and an
 //!   exact brute-force fallback for small indexes and recall validation.
-//! * Binary embedding loading lives in [`v2v_embed::binary`] — the
-//!   checksummed little-endian format the server boots from without
+//! * Binary embedding loading lives in `v2v-store` — the `.v2s`
+//!   shard-checksummed container the server mmaps and boots from without
 //!   re-parsing text.
 //! * [`http`] + [`api`] — a multithreaded HTTP/1.1 server over
 //!   `std::net::TcpListener` (fixed worker pool, read timeouts, graceful

@@ -109,7 +109,7 @@ pub fn trigger_reload() {
 
 /// Installs the SIGUSR1 → flight-recorder-dump handler (idempotent;
 /// no-op off Unix). The CLI's watcher thread polls [`take_dump`] and
-/// writes the recorder JSON to `V2V_FLIGHT_DUMP`.
+/// writes the recorder JSON to its flight-dump path.
 pub fn install_dump() {
     imp::install_dump();
 }

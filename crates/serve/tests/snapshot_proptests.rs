@@ -5,16 +5,9 @@
 //! metrics.
 
 use proptest::prelude::*;
+use v2v_base::rng::splitmix64;
 use v2v_serve::api::handle;
 use v2v_serve::{HnswConfig, HnswIndex, Metric, Request, ServeState};
-
-fn splitmix(seed: &mut u64) -> u64 {
-    *seed = seed.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *seed;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
 
 fn neighbors(state: &ServeState, v: usize, k: usize) -> (u16, String) {
     let req = Request {
@@ -42,7 +35,7 @@ proptest! {
     ) {
         let mut s = seed;
         let data: Vec<f32> = (0..n * dims)
-            .map(|_| (splitmix(&mut s) >> 40) as f32 / (1u64 << 24) as f32 - 0.5)
+            .map(|_| (splitmix64(&mut s) >> 40) as f32 / (1u64 << 24) as f32 - 0.5)
             .collect();
         let config = HnswConfig {
             metric: if euclidean { Metric::Euclidean } else { Metric::Cosine },

@@ -1,7 +1,8 @@
 //! End-to-end request tracing: every response carries `X-Request-Id`
 //! (echoed when supplied, generated otherwise), the same ID shows up in
-//! `/tracez`, and `/metricz?format=prometheus` serves valid exposition
-//! text with per-endpoint window quantiles — all over real TCP.
+//! `/tracez` and the access log, slow requests are flagged against the
+//! server's own threshold, and `/metricz?format=prometheus` serves valid
+//! exposition text with per-endpoint window quantiles — all over real TCP.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -17,6 +18,20 @@ fn test_state() -> Arc<ServeState> {
         vec![1.0, 0.0, 1.0, 0.1, 0.9, -0.1, -1.0, 0.0, -1.0, 0.1, -0.9, -0.1],
     );
     Arc::new(ServeState::new(embedding, HnswConfig::default(), None).unwrap())
+}
+
+/// Runs a server over [`test_state`] under `config`; returns its address
+/// and the call that shuts it down and joins it.
+fn start(config: ServerConfig) -> (std::net::SocketAddr, impl FnOnce()) {
+    let config = ServerConfig { threads: 2, watch_signals: false, ..config };
+    let server = Server::bind(config, test_state().into_handler()).expect("bind");
+    let addr = server.local_addr();
+    let shutdown = server.shutdown_flag();
+    let running = std::thread::spawn(move || server.run());
+    (addr, move || {
+        shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+        running.join().unwrap().unwrap();
+    })
 }
 
 /// One parsed response: (status, headers lowercased, body).
@@ -77,11 +92,7 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
 
 #[test]
 fn request_ids_thread_through_responses_and_tracez() {
-    let config = ServerConfig { threads: 2, watch_signals: false, ..Default::default() };
-    let server = Server::bind(config, test_state().into_handler()).expect("bind");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_flag();
-    let running = std::thread::spawn(move || server.run());
+    let (addr, stop) = start(ServerConfig::default());
 
     // Supplied ID is echoed verbatim.
     let (status, headers, _) = roundtrip(
@@ -134,17 +145,12 @@ fn request_ids_thread_through_responses_and_tracez() {
     assert_eq!(errored.get("status").unwrap().as_u64(), Some(404));
     find(&generated);
 
-    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-    running.join().unwrap().unwrap();
+    stop();
 }
 
 #[test]
 fn pipelined_requests_get_ordered_responses_with_request_scoped_ids() {
-    let config = ServerConfig { threads: 2, watch_signals: false, ..Default::default() };
-    let server = Server::bind(config, test_state().into_handler()).expect("bind");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_flag();
-    let running = std::thread::spawn(move || server.run());
+    let (addr, stop) = start(ServerConfig::default());
 
     // Three requests written in one burst on one connection: two with
     // supplied IDs, one without. The last asks for close so EOF frames
@@ -191,17 +197,12 @@ fn pipelined_requests_get_ordered_responses_with_request_scoped_ids() {
     assert!(metricz.contains("\"serve.conn.pipelined\""), "no pipelined counter:\n{metricz}");
     assert!(metricz.contains("\"serve.conn.reused\""), "no reused counter:\n{metricz}");
 
-    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-    running.join().unwrap().unwrap();
+    stop();
 }
 
 #[test]
 fn prometheus_endpoint_serves_valid_exposition_over_tcp() {
-    let config = ServerConfig { threads: 2, watch_signals: false, ..Default::default() };
-    let server = Server::bind(config, test_state().into_handler()).expect("bind");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_flag();
-    let running = std::thread::spawn(move || server.run());
+    let (addr, stop) = start(ServerConfig::default());
 
     // Generate traffic so per-endpoint windows exist.
     for _ in 0..5 {
@@ -224,6 +225,67 @@ fn prometheus_endpoint_serves_valid_exposition_over_tcp() {
         );
     }
 
-    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
-    running.join().unwrap().unwrap();
+    stop();
+}
+
+/// The access log is a per-server destination: one JSON line per request,
+/// keyed by the ID the client received.
+#[test]
+fn access_log_records_request_ids_and_latencies() {
+    let dir = std::env::temp_dir().join(format!("v2v-access-log-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log_path = dir.join("access.jsonl");
+    let logged = |path: &std::path::Path| ServerConfig {
+        access_log: Some(path.to_str().unwrap().to_string()),
+        ..Default::default()
+    };
+    let (addr, stop) = start(logged(&log_path));
+    roundtrip(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Request-Id: log-trace-1\r\n\r\n");
+    roundtrip(addr, "GET /nowhere HTTP/1.1\r\nHost: t\r\nX-Request-Id: log-trace-2\r\n\r\n");
+    stop();
+
+    let text = std::fs::read_to_string(&log_path).expect("access log written");
+    let lines: Vec<json::Value> = text
+        .lines()
+        .map(|l| json::parse(l).unwrap_or_else(|e| panic!("bad log line {l:?}: {e}")))
+        .collect();
+    assert_eq!(lines.len(), 2, "one line per request");
+    let find = |id: &str| {
+        lines
+            .iter()
+            .find(|l| l.get("request_id").unwrap().as_str() == Some(id))
+            .unwrap_or_else(|| panic!("request {id} missing from access log"))
+    };
+    let ok = find("log-trace-1");
+    assert_eq!(ok.get("method").unwrap().as_str(), Some("GET"));
+    assert_eq!(ok.get("path").unwrap().as_str(), Some("/healthz"));
+    assert_eq!(ok.get("status").unwrap().as_u64(), Some(200));
+    assert!(ok.get("bytes").unwrap().as_u64().unwrap() > 0);
+    assert!(ok.get("latency_ms").unwrap().as_f64().unwrap() >= 0.0);
+    assert!(ok.get("ts_ms").unwrap().as_u64().unwrap() > 0);
+    assert_eq!(find("log-trace-2").get("status").unwrap().as_u64(), Some(404));
+
+    // A destination that cannot be opened refuses to bind rather than
+    // serving unlogged.
+    let refused = Server::bind(logged(&dir.join("no-such-dir/a.jsonl")), test_state().into_handler());
+    assert!(refused.err().expect("bind must fail").to_string().contains("access log"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two servers, two thresholds, one process: every request to the first
+/// is "slow", none to the second is.
+#[test]
+fn slow_request_threshold_is_per_server() {
+    let (eager, stop_eager) = start(ServerConfig { slow_request_ms: 1e-9, ..Default::default() });
+    let (lax, stop_lax) = start(ServerConfig { slow_request_ms: 1e9, ..Default::default() });
+    roundtrip(eager, "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Request-Id: slow-eager\r\n\r\n");
+    roundtrip(lax, "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Request-Id: slow-lax\r\n\r\n");
+    stop_eager();
+    stop_lax();
+    let slow_events = |id: &str| {
+        let events = v2v_obs::global_recorder().snapshot();
+        events.iter().filter(|e| e.kind == "slow" && e.request_id == id).count()
+    };
+    assert_eq!(slow_events("slow-eager"), 1);
+    assert_eq!(slow_events("slow-lax"), 0);
 }

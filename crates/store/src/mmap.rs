@@ -1,7 +1,7 @@
 //! Read-only memory mapping without a libc crate.
 //!
-//! Same zero-dependency approach as `v2v-obs`'s `perf_event_open` wrapper:
-//! `std` already links libc, so the handful of symbols we need (`mmap`,
+//! Same zero-dependency approach as `v2v-obs`'s SIGPROF sampler: `std`
+//! already links libc, so the handful of symbols we need (`mmap`,
 //! `munmap`, `madvise`) are declared directly. Non-Unix targets get a
 //! stub that always reports mmap as unavailable — callers (the store
 //! opener) fall back to heap loading, which is the portable path.

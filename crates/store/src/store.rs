@@ -1,17 +1,18 @@
 //! The V2VE v2 container: a fixed-stride, page-aligned, shard-checksummed
 //! embedding store designed to be served straight from `mmap`.
 //!
-//! V2VE **v1** (`v2v-embed/src/binary.rs`) is a streamed format: one
-//! checksum over the whole payload, so a reader must touch every byte
-//! before trusting any of it. That is the wrong trade at a million
-//! vertices — cold start should cost a map plus a header check, not a
-//! full-file scan. v2 keeps the magic and the FNV-1a checksum primitive
-//! but restructures for random access:
+//! This is the one binary embedding format. Its predecessor, V2VE v1 (a
+//! streamed layout with one checksum over the whole payload, so a reader
+//! had to touch every byte before trusting any of it), no longer has a
+//! reader or writer: a v1 file is refused with "unsupported V2VE version
+//! 1" and must be re-exported from text or retrained. v2 is built for
+//! random access — cold start costs a map plus a header check, not a
+//! full-file scan:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"V2VE"
-//! 4       4     version = 2 (u32 LE)           ── v1 readers refuse it cleanly
+//! 4       4     version = 2 (u32 LE)
 //! 8       4     dims (u32 LE, > 0)
 //! 12      4     reserved = 0
 //! 16      8     count (u64 LE, rows)

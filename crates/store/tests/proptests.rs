@@ -34,13 +34,7 @@ fn scratch(name: &str, case: u64) -> PathBuf {
 
 /// splitmix64-derived payload so each case is cheap and reproducible.
 fn payload(count: usize, dims: usize, mut seed: u64) -> Vec<f32> {
-    let mut next = move || {
-        seed = seed.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || v2v_base::rng::splitmix64(&mut seed);
     (0..count * dims).map(|_| (next() >> 40) as f32 / (1u64 << 24) as f32 - 0.5).collect()
 }
 

@@ -17,13 +17,7 @@ use v2v_walks::WalkCorpus;
 /// Deterministic synthetic walks over `n` vertices: community-biased so
 /// the trainer has real structure to fit (non-degenerate loss).
 fn synth_walks(num_walks: usize, n: u32, mut seed: u64) -> Vec<Vec<VertexId>> {
-    let mut next = move || {
-        seed = seed.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || v2v_base::rng::splitmix64(&mut seed);
     (0..num_walks)
         .map(|_| {
             let len = 8 + (next() % 25) as usize;

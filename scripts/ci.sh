@@ -20,6 +20,15 @@ if grep -rn rayon --include=Cargo.toml --include=Cargo.lock --include='*.rs' \
   echo "rayon is mentioned again (see above); data-parallel code goes through v2v_base::par" >&2
   exit 1
 fi
+# One way in: the server takes its settings as ServerConfig values, `.v2s`
+# is the one binary embedding format, and hardware counters are `perf stat`'s
+# job. None of the three may come back by name.
+if grep -rn 'env::var' crates/serve/src \
+    || grep -rn 'embed::binary\|embedding_binary' crates README.md \
+    || grep -rn 'perf_counters\|perf_event' crates; then
+  echo "a process-global knob, the v1 binary format or the perf wrapper is back (see above)" >&2
+  exit 1
+fi
 
 # --- Server smoke test -----------------------------------------------------
 # Boot `v2v serve` on an ephemeral port against a tiny embedding, hit the
@@ -131,6 +140,13 @@ echo "serve smoke test: ok"
 # checkpoint that a --resume run finishes from.
 seq 0 199 | awk '{ print $1, ($1 + 1) % 200; print $1, ($1 * 37 + 11) % 200 }' \
   > "$smoke_dir/edges.txt"
+# A flag the option table does not declare is refused before any work: the
+# `--thread 1` typo used to train on every core and exit 0.
+if ./target/release/v2v embed --input "$smoke_dir/edges.txt" --output "$smoke_dir/typo.txt" \
+    --thread 1 2> /dev/null || [ -e "$smoke_dir/typo.txt" ]; then
+  echo "v2v embed accepted the undeclared flag --thread" >&2
+  exit 1
+fi
 embed_args=(embed --input "$smoke_dir/edges.txt" --output "$smoke_dir/emb-ck.txt"
             --dims 24 --walks 8 --length 60 --epochs 8 --threads 1 --seed 7
             --checkpoint-dir "$smoke_dir/ckpt")
@@ -174,7 +190,7 @@ echo "profiler smoke test: ok"
 # in-RAM path), persist the HNSW snapshot into the store, then serve from
 # the mmap twice — the restart must come up from the snapshot in under a
 # second (the acceptance bound is 250 ms; 1 s absorbs CI noise).
-./target/release/v2v walks --input "$smoke_dir/edges.txt" --output "$smoke_dir/walks"   --walks 6 --length 50 --threads 1 --seed 11 --shard-mb 1 2> /dev/null
+./target/release/v2v walks --input "$smoke_dir/edges.txt" --output "$smoke_dir/walks"   --walks 6 --length 50 --seed 11 --shard-mb 1 2> /dev/null
 ./target/release/v2v embed --corpus "$smoke_dir/walks" --output "$smoke_dir/emb.v2s"   --dims 24 --epochs 3 --threads 1 --seed 11 2> "$smoke_dir/shard-train.err"
 ./target/release/v2v embed --input "$smoke_dir/edges.txt" --output "$smoke_dir/emb-ram.txt"   --dims 24 --epochs 3 --threads 1 --seed 11 --walks 6 --length 50 2> "$smoke_dir/ram-train.err"
 loss_disk=$(grep -o 'final loss [0-9.]*' "$smoke_dir/shard-train.err" | head -1)
