@@ -264,29 +264,23 @@ impl Registry {
 
     /// The counter named `name` (created on first use).
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap();
-        map.entry(name.to_string()).or_insert_with(|| Arc::new(Counter::new())).clone()
+        get_or_create(&self.counters, name, Counter::new)
     }
 
     /// The gauge named `name` (created on first use).
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap();
-        map.entry(name.to_string()).or_insert_with(|| Arc::new(Gauge::new())).clone()
+        get_or_create(&self.gauges, name, Gauge::new)
     }
 
     /// The histogram named `name`; `bounds` applies only on first creation.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap();
-        map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new(bounds))).clone()
+        get_or_create(&self.histograms, name, || Histogram::new(bounds))
     }
 
     /// The rotating-window histogram named `name` (default 4×15 s ring;
     /// `bounds` applies only on first creation).
     pub fn windowed(&self, name: &str, bounds: &[f64]) -> Arc<WindowedHistogram> {
-        let mut map = self.windows.lock().unwrap();
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(WindowedHistogram::new(bounds)))
-            .clone()
+        get_or_create(&self.windows, name, || WindowedHistogram::new(bounds))
     }
 
     /// Copies every instrument's current value.
@@ -345,6 +339,23 @@ impl Registry {
     }
 }
 
+/// The instrument named `name` in `map`, made by `make` on first use. A
+/// hit looks the name up as `&str` and allocates nothing; only an insert
+/// copies it into an owned key.
+fn get_or_create<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = map.lock().unwrap();
+    if let Some(found) = map.get(name) {
+        return found.clone();
+    }
+    let made = Arc::new(make());
+    map.insert(name.to_string(), made.clone());
+    made
+}
+
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// The process-wide registry every pipeline layer records into.
@@ -367,6 +378,18 @@ mod tests {
         let g = r.gauge("g");
         g.set(2.5);
         assert_eq!(r.gauge("g").get(), 2.5);
+    }
+
+    #[test]
+    fn relookup_returns_the_first_instrument_and_its_bounds() {
+        let r = Registry::new();
+        let h = r.histogram("h", &[1.0, 2.0]);
+        assert!(Arc::ptr_eq(&h, &r.histogram("h", &[5.0])));
+        assert_eq!(r.histogram("h", &[5.0]).bounds(), &[1.0, 2.0]);
+        let w = r.windowed("w", &[1.0]);
+        assert!(Arc::ptr_eq(&w, &r.windowed("w", &[5.0])));
+        assert_eq!(r.snapshot().histograms.len(), 1);
+        assert_eq!(r.snapshot().windows.len(), 1);
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! `std::net::TcpListener`.
 //!
 //! Deliberately minimal — exactly what serving JSON lookups needs and no
-//! more: a nonblocking accept loop feeding a fixed pool of worker threads
-//! through a `Mutex<VecDeque>` + `Condvar` queue, HTTP/1.1 keep-alive
-//! with pipelining on each connection, and graceful shutdown: the accept
-//! loop polls an atomic flag (set programmatically or by SIGINT via
-//! [`crate::signal`]), stops accepting, drains the queue, and joins the
+//! more: an accept loop blocked in `accept(2)` feeding a fixed pool of
+//! worker threads through a `Mutex<VecDeque>` + `Condvar` queue, so a new
+//! connection reaches a worker as soon as the kernel completes it;
+//! HTTP/1.1 keep-alive with pipelining on each connection; and graceful
+//! shutdown: a small waker thread checks an atomic flag (set
+//! programmatically or by SIGINT via [`crate::signal`]) every 20 ms and,
+//! once it is set, connects to the listener once so the blocked `accept`
+//! returns; the loop then stops accepting, drains the queue, and joins the
 //! workers so in-flight responses complete.
 //!
 //! The connection model is the serving fast path: a connection is reused
@@ -45,11 +48,15 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use v2v_obs::obs_debug;
+
+/// How often the shutdown waker checks whether a stop was requested: the
+/// most a stop waits before a blocked `accept` is woken.
+const WAKE_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Server knobs.
 #[derive(Clone, Debug)]
@@ -76,8 +83,9 @@ pub struct ServerConfig {
     /// before the server closes it (quietly — an idle close is a normal
     /// end of connection, not a `408`).
     pub idle_timeout: Duration,
-    /// Whether the accept loop also honors process signals
-    /// ([`crate::signal::requested`]); tests turn this off.
+    /// Whether the server also stops on process signals
+    /// ([`crate::signal::requested`]), noticed by the shutdown waker within
+    /// 20 ms; tests turn this off.
     pub watch_signals: bool,
     /// Latency (ms) at or beyond which a request is logged as slow, with
     /// its span tree.
@@ -271,14 +279,12 @@ impl Server {
     }
 
     fn should_stop(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-            || (self.config.watch_signals && crate::signal::requested())
+        stop_requested(&self.shutdown, self.config.watch_signals)
     }
 
     /// Accepts and serves until the shutdown flag (or a watched signal)
     /// fires, then drains in-flight work and joins the workers.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let threads = if self.config.threads > 0 {
             self.config.threads
         } else {
@@ -297,8 +303,14 @@ impl Server {
 
         // Set when the accept loop exits so workers parked in keep-alive
         // idle waits close their connections promptly instead of holding
-        // the drain open for a full idle timeout.
+        // the drain open for a full idle timeout, and so the waker exits.
         let stopping = Arc::new(AtomicBool::new(false));
+        let waker = spawn_waker(
+            self.local_addr,
+            self.shutdown.clone(),
+            self.config.watch_signals,
+            stopping.clone(),
+        );
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 let queue = queue.clone();
@@ -348,6 +360,12 @@ impl Server {
         while !self.should_stop() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
+                    if self.should_stop() {
+                        // The waker's connection, or a client that raced
+                        // the stop: dropped unanswered, as the backlog is
+                        // when the listener closes.
+                        break;
+                    }
                     let mut guard = queue.jobs.lock().unwrap();
                     if guard.0.len() >= self.config.max_queue {
                         // Shed rather than queue without bound: answer 503
@@ -366,11 +384,11 @@ impl Server {
                         queue.ready.notify_one();
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
+                    // Out of descriptors (EMFILE/ENFILE) or kernel memory:
+                    // `accept` fails again at once until something closes,
+                    // so back off briefly rather than spin a core on it.
                     obs_debug!("accept error: {e}");
                     std::thread::sleep(Duration::from_millis(5));
                 }
@@ -389,8 +407,48 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
+        let _ = waker.join();
         Ok(())
     }
+}
+
+/// Whether `shutdown` is set or, when `watch_signals`, a SIGINT/SIGTERM
+/// has arrived.
+fn stop_requested(shutdown: &AtomicBool, watch_signals: bool) -> bool {
+    shutdown.load(Ordering::SeqCst) || (watch_signals && crate::signal::requested())
+}
+
+/// Starts the thread that wakes [`Server::run`] out of a blocked `accept`
+/// once a stop is requested. Nothing else would: the shutdown flag and the
+/// signal handlers only set atomics, and `signal(2)` handlers restart an
+/// interrupted `accept`. Every [`WAKE_INTERVAL`] the thread checks the stop
+/// conditions; once they hold it connects to the listener (over loopback
+/// when it is bound to an unspecified address) and exits — the accept loop
+/// re-checks after every `accept` and drops that connection. It exits
+/// without connecting once `exited` is set (a client woke the loop first).
+fn spawn_waker(
+    listener: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    watch_signals: bool,
+    exited: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    let target = match listener.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, listener.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, listener.port()).into(),
+        _ => listener,
+    };
+    std::thread::spawn(move || {
+        while !exited.load(Ordering::SeqCst) {
+            std::thread::sleep(WAKE_INTERVAL);
+            // A failed connect (say, out of descriptors) is retried on the
+            // next tick; the accept loop cannot exit until one lands.
+            if stop_requested(&shutdown, watch_signals)
+                && TcpStream::connect_timeout(&target, WAKE_INTERVAL).is_ok()
+            {
+                return;
+            }
+        }
+    })
 }
 
 /// Adaptive `Retry-After` for every load-shed path (the accept queue here,
@@ -641,15 +699,13 @@ fn handle_connection(
             metrics.counter("serve.errors").inc();
         }
         let latency_ms = started.elapsed().as_secs_f64() * 1e3;
-        metrics
-            .histogram("serve.latency_ms", &latency_bounds())
-            .record(latency_ms);
+        metrics.histogram("serve.latency_ms", &LATENCY_BOUNDS).record(latency_ms);
         // Live tail quantiles: overall plus per endpoint, over a rotating
         // window, so `/metricz` shows "now" and not "since boot".
-        metrics.windowed("serve.latency.all", &latency_bounds()).record(latency_ms);
+        metrics.windowed("serve.latency.all", &LATENCY_BOUNDS).record(latency_ms);
         if let Some(endpoint) = endpoint_name(&path) {
             metrics
-                .windowed(&format!("serve.latency.{endpoint}"), &latency_bounds())
+                .windowed(&format!("serve.latency.{endpoint}"), &LATENCY_BOUNDS)
                 .record(latency_ms);
         }
         v2v_obs::record_event(
@@ -741,10 +797,10 @@ fn write_access_log(
     }
 }
 
-/// Exponential latency buckets: 0.05 ms … ~100 ms.
-fn latency_bounds() -> Vec<f64> {
-    (0..12).map(|i| 0.05 * 2f64.powi(i)).collect()
-}
+/// Exponential latency buckets: `0.05 * 2^i` ms for `i` in `0..12`, i.e.
+/// 0.05 ms … ~100 ms.
+const LATENCY_BOUNDS: [f64; 12] =
+    [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6, 51.2, 102.4];
 
 const MAX_HEAD: usize = 16 * 1024;
 
@@ -1021,6 +1077,15 @@ mod tests {
         assert_eq!(endpoint_name("/"), None);
         assert_eq!(endpoint_name("/a/b"), None, "nested paths stay unnamed");
         assert_eq!(endpoint_name("/☃"), None);
+    }
+
+    /// The `/metricz` latency buckets must not move: each bound is
+    /// `0.05 * 2^i` bit for bit.
+    #[test]
+    fn latency_bounds_are_doubling_from_50_us() {
+        for (i, bound) in LATENCY_BOUNDS.iter().enumerate() {
+            assert_eq!(bound.to_bits(), (0.05 * 2f64.powi(i as i32)).to_bits(), "bound {i}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! SIGINT/SIGTERM → shutdown flag, SIGHUP → reload flag, SIGUSR1 →
 //! flight-recorder dump flag.
 //!
-//! The server's accept loop polls [`requested`] so Ctrl-C drains in-flight
-//! requests and exits 0 instead of killing the process mid-write, and the
+//! The server's shutdown waker polls [`requested`] and wakes the accept
+//! loop out of its blocking `accept`, so Ctrl-C drains in-flight requests
+//! and exits 0 instead of killing the process mid-write, and the
 //! CLI's reload watcher polls [`take_reload`] so `kill -HUP` hot-swaps the
 //! served embedding (the conventional "re-read your config" signal). No
 //! signal crate exists in this offline workspace; on Unix the handlers are

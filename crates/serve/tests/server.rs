@@ -4,8 +4,9 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 use v2v_embed::Embedding;
 use v2v_obs::json;
 use v2v_serve::{HnswConfig, Server, ServerConfig, ServeState};
@@ -145,5 +146,77 @@ fn concurrent_requests_are_all_answered() {
     }
 
     shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    running.join().unwrap().unwrap();
+}
+
+/// Serializes the tests that run a server watching the process-global
+/// signal flag, since one of them raises it (the signal module's own unit
+/// test runs in another test binary, so in another process).
+fn signal_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs a server on `addr` that no client ever connects to, under the
+/// production default `watch_signals: true`; once its accept loop has had
+/// time to block, calls `stop` with the server's shutdown flag and asserts
+/// `run()` returns cleanly within 1 s. Every embedder ends a server with a
+/// bare store + join (or a signal), so a blocked `accept` that nothing
+/// wakes would hang here.
+fn stops_idle_server_within_a_second(addr: &str, stop: impl FnOnce(&AtomicBool)) {
+    let config = ServerConfig { addr: addr.into(), threads: 2, ..Default::default() };
+    let server = Server::bind(config, test_state().into_handler()).expect("bind");
+    let flag = server.shutdown_flag();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.run()));
+    std::thread::sleep(Duration::from_millis(100));
+    stop(&flag);
+    finished
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run() did not return within 1 s of the stop")
+        .expect("clean shutdown");
+}
+
+#[test]
+fn shutdown_flag_stops_an_idle_server_within_a_second() {
+    let _serialized = signal_lock();
+    stops_idle_server_within_a_second("127.0.0.1:0", |flag| flag.store(true, Ordering::SeqCst));
+    // Bound to every interface, the waker reaches the listener over loopback.
+    stops_idle_server_within_a_second("0.0.0.0:0", |flag| flag.store(true, Ordering::SeqCst));
+}
+
+#[test]
+fn signal_stops_an_idle_server_within_a_second() {
+    let _serialized = signal_lock();
+    stops_idle_server_within_a_second("127.0.0.1:0", |_| v2v_serve::signal::trigger());
+    v2v_serve::signal::reset();
+}
+
+/// A fresh connection is served as soon as the kernel completes it, with
+/// no accept-loop poll interval in front of its request.
+#[test]
+fn fresh_connections_are_served_without_an_accept_poll() {
+    let config = ServerConfig { threads: 2, watch_signals: false, ..Default::default() };
+    let server = Server::bind(config, test_state().into_handler()).expect("bind");
+    let addr = server.local_addr();
+    let shutdown = server.shutdown_flag();
+    let running = std::thread::spawn(move || server.run());
+
+    get(addr, "/healthz");
+    let mut rtts: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            assert_eq!(get(addr, "/healthz").0, 200);
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median fresh-connection round trip {median:?} (sorted: {rtts:?})"
+    );
+
+    shutdown.store(true, Ordering::SeqCst);
     running.join().unwrap().unwrap();
 }

@@ -130,7 +130,18 @@ grep -q 'smoke-trace-42' "$smoke_dir/flight.json" \
   || { echo "SIGUSR1 flight dump missing or incomplete" >&2; exit 1; }
 echo "flight-recorder smoke test: ok"
 
+# SIGINT must drain and exit within 2 s. The accept loop is blocked in
+# accept(2); the server's shutdown waker notices the signal and wakes it, so
+# a broken waker shows up here as a hang.
 kill -INT "$server_pid"
+for _ in $(seq 1 40); do
+  kill -0 "$server_pid" 2>/dev/null || break
+  sleep 0.05
+done
+if kill -0 "$server_pid" 2>/dev/null; then
+  echo "server still running 2 s after SIGINT" >&2
+  exit 1
+fi
 wait "$server_pid"   # non-zero (set -e) if shutdown was not clean
 server_pid=""
 echo "serve smoke test: ok"
