@@ -1,6 +1,7 @@
 //! The primitives the rest of the workspace has exactly one of: the
 //! data-parallel helpers ([`par`]), the on-disk checksum ([`hash`]) and
-//! the seed mixer ([`rng`]). No dependencies, no global state.
+//! the random generator with its seed mixer ([`rng`]). No dependencies,
+//! no global state.
 
 pub mod hash;
 pub mod par;

@@ -13,16 +13,15 @@
 //!     [--queries 200] [--clusters 64] [--euclidean]
 //! ```
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
+use v2v_base::rng::Rng;
 use v2v_bench::{print_table, Args};
 use v2v_serve::{HnswConfig, HnswIndex, Metric};
 
 /// `n` vectors jittered around `clusters` random centers — the planted
 /// structure V2V embeddings exhibit (one blob per community).
 fn clustered(n: usize, dims: usize, clusters: usize, seed: u64) -> Vec<f32> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let centers: Vec<f32> = (0..clusters * dims).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let mut out = Vec::with_capacity(n * dims);
     for i in 0..n {

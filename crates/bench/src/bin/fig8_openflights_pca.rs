@@ -86,11 +86,9 @@ fn main() {
     // Optional: the paper (§I) also names t-SNE as a principled
     // projection; --tsne renders it on a subsample (exact t-SNE is O(n^2)).
     if args.flag("tsne") {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(8);
         let mut idx: Vec<usize> = (0..net.num_airports()).collect();
-        idx.shuffle(&mut rng);
+        rng.shuffle(&mut idx);
         idx.truncate(args.get("tsne-points", 600));
         let sub = v2v_linalg::RowMatrix::from_rows(
             &idx.iter().map(|&i| m.row(i).to_vec()).collect::<Vec<_>>(),

@@ -3,10 +3,8 @@
 //! the quality/runtime trade-off space that V2V's Table I explores.
 
 use crate::Partition;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use v2v_base::rng::Rng;
 use v2v_graph::Graph;
 
 /// Runs asynchronous LPA: every vertex repeatedly adopts the (weighted)
@@ -18,11 +16,11 @@ pub fn label_propagation(graph: &Graph, max_iters: usize, seed: u64) -> Partitio
     if n == 0 {
         return Partition { labels, num_communities: 0, modularity: 0.0 };
     }
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut order: Vec<usize> = (0..n).collect();
 
     for _ in 0..max_iters {
-        order.shuffle(&mut rng);
+        rng.shuffle(&mut order);
         let mut changed = false;
         for &v in &order {
             let vid = v2v_graph::VertexId::from_index(v);

@@ -3,10 +3,8 @@
 //! about "larger scale networks" is exactly the regime Louvain serves.
 
 use crate::{compact_labels, Partition};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::HashMap;
+use v2v_base::rng::Rng;
 use v2v_graph::Graph;
 
 /// Weighted working graph for the aggregation phases: adjacency maps with
@@ -47,7 +45,7 @@ impl WorkGraph {
 }
 
 /// One local-moving pass + aggregation. Returns (labels, improved).
-fn one_level(wg: &WorkGraph, rng: &mut StdRng) -> (Vec<usize>, bool) {
+fn one_level(wg: &WorkGraph, rng: &mut Rng) -> (Vec<usize>, bool) {
     let n = wg.n();
     let m = wg.total_weight;
     let mut community: Vec<usize> = (0..n).collect();
@@ -55,7 +53,7 @@ fn one_level(wg: &WorkGraph, rng: &mut StdRng) -> (Vec<usize>, bool) {
     let degrees: Vec<f64> = comm_tot.clone();
 
     let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(rng);
+    rng.shuffle(&mut order);
 
     let mut improved = false;
     let mut moved = true;
@@ -138,7 +136,7 @@ pub fn louvain(graph: &Graph, seed: u64) -> Partition {
             modularity: 0.0,
         };
     }
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut wg = WorkGraph::from_graph(graph);
     // labels_full[v] tracks each original vertex's community.
     let mut labels_full: Vec<usize> = (0..n).collect();

@@ -12,8 +12,7 @@
 use crate::config::V2vConfig;
 use crate::error::V2vError;
 use crate::pipeline::V2vModel;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use v2v_base::rng::Rng;
 use v2v_graph::perturb::remove_random_edges;
 use v2v_graph::{Graph, VertexId};
 
@@ -39,7 +38,7 @@ pub fn make_split(graph: &Graph, fraction: f64, seed: u64) -> LinkPredictionSpli
     let positives: Vec<(VertexId, VertexId)> =
         removed.removed.iter().map(|e| (e.source, e.target)).collect();
 
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_1E55);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5EED_1E55);
     let n = graph.num_vertices() as u32;
     let mut negatives = Vec::with_capacity(positives.len());
     let mut seen = std::collections::HashSet::new();

@@ -10,8 +10,7 @@
 //! experiments rely on: heavy-tailed degrees, heterogeneous community
 //! sizes, and `mu`-controlled mixing.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use v2v_base::rng::Rng;
 use v2v_graph::{Graph, GraphBuilder, VertexId};
 
 /// LFR generator parameters.
@@ -67,14 +66,14 @@ pub struct LfrBenchmark {
 
 /// Samples from a discrete truncated power law `P(x) ∝ x^-exponent` on
 /// `[lo, hi]` by inverse-transform on the continuous approximation.
-fn power_law<R: Rng>(lo: usize, hi: usize, exponent: f64, rng: &mut R) -> usize {
+fn power_law(lo: usize, hi: usize, exponent: f64, rng: &mut Rng) -> usize {
     debug_assert!(lo >= 1 && hi >= lo);
     if lo == hi {
         return lo;
     }
     let a = 1.0 - exponent;
     let (lo_f, hi_f) = (lo as f64, (hi + 1) as f64);
-    let u: f64 = rng.gen();
+    let u = rng.gen_f64();
     let x = if a.abs() < 1e-9 {
         // exponent == 1: log-uniform.
         (lo_f.ln() + u * (hi_f.ln() - lo_f.ln())).exp()
@@ -98,7 +97,7 @@ pub fn lfr_graph(config: &LfrConfig) -> LfrBenchmark {
         ((c.min_degree as f64) * (1.0 - c.mu)).ceil() < c.min_community as f64,
         "min_community too small for the intra-degree demand"
     );
-    let mut rng = StdRng::seed_from_u64(c.seed);
+    let mut rng = Rng::seed_from_u64(c.seed);
 
     // Degrees.
     let degrees: Vec<usize> =
@@ -157,11 +156,10 @@ pub fn lfr_graph(config: &LfrConfig) -> LfrBenchmark {
     // Configuration-model matching, rejecting self-loops/duplicates.
     let mut b = GraphBuilder::new_undirected().deduplicate(true);
     b.ensure_vertices(c.n);
-    let pair_up = |stubs: &mut Vec<usize>, rng: &mut StdRng, b: &mut GraphBuilder, cross_check: bool, labels: &Vec<usize>| {
+    let pair_up = |stubs: &mut Vec<usize>, rng: &mut Rng, b: &mut GraphBuilder, cross_check: bool, labels: &Vec<usize>| {
         // Shuffle then pair consecutive stubs; a bounded number of repair
         // passes resolves most self-pairs.
-        use rand::seq::SliceRandom;
-        stubs.shuffle(rng);
+        rng.shuffle(stubs);
         let mut i = 0;
         while i + 1 < stubs.len() {
             let (u, v) = (stubs[i], stubs[i + 1]);
@@ -283,7 +281,7 @@ mod tests {
 
     #[test]
     fn power_law_sampler_bounds_and_bias() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let samples: Vec<usize> = (0..5000).map(|_| power_law(5, 50, 2.5, &mut rng)).collect();
         assert!(samples.iter().all(|&x| (5..=50).contains(&x)));
         let small = samples.iter().filter(|&&x| x <= 10).count();

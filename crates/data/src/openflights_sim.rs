@@ -19,8 +19,7 @@
 //! with geography, so embeddings cluster by continent (Fig 8) and country
 //! labels are k-NN-recoverable (Figs 9–10).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use v2v_base::rng::Rng;
 use v2v_graph::{Graph, GraphBuilder, VertexId};
 
 /// Continent display names (the paper's Fig 8 legend).
@@ -103,7 +102,7 @@ impl FlightNetwork {
 
 /// Random unit vector, by normalizing a Gaussian-ish sample (sum of
 /// uniforms; exact isotropy is unnecessary here).
-fn random_unit<R: Rng>(rng: &mut R) -> [f64; 3] {
+fn random_unit(rng: &mut Rng) -> [f64; 3] {
     loop {
         let v: [f64; 3] = [
             rng.gen_range(-1.0..1.0),
@@ -118,7 +117,7 @@ fn random_unit<R: Rng>(rng: &mut R) -> [f64; 3] {
 }
 
 /// `center` jittered by `spread` and re-normalized onto the sphere.
-fn jitter<R: Rng>(center: [f64; 3], spread: f64, rng: &mut R) -> [f64; 3] {
+fn jitter(center: [f64; 3], spread: f64, rng: &mut Rng) -> [f64; 3] {
     let v = [
         center[0] + rng.gen_range(-spread..spread),
         center[1] + rng.gen_range(-spread..spread),
@@ -137,7 +136,7 @@ fn dist2(a: [f64; 3], b: [f64; 3]) -> f64 {
 pub fn generate(config: &OpenFlightsConfig) -> FlightNetwork {
     let c = *config;
     assert!(c.continents >= 1 && c.countries_per_continent >= 1 && c.airports_per_country >= 2);
-    let mut rng = StdRng::seed_from_u64(c.seed);
+    let mut rng = Rng::seed_from_u64(c.seed);
 
     let num_airports = c.continents * c.countries_per_continent * c.airports_per_country;
     let mut continents = Vec::with_capacity(num_airports);

@@ -9,8 +9,7 @@
 //! `inter_edges = 200` — at `α = 0.5` that is the "1000 vertices and 25000
 //! edges" graph quoted in §I.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use v2v_base::rng::Rng;
 use v2v_graph::generators::{pair_from_index, sample_distinct_indices};
 use v2v_graph::{Graph, GraphBuilder, VertexId};
 
@@ -62,7 +61,7 @@ pub fn quasi_clique_graph(config: &QuasiCliqueConfig) -> SyntheticCommunities {
     let inter_possible = n * (n - 1) / 2 - groups * intra_possible;
     assert!(inter_edges <= inter_possible, "too many inter-group edges requested");
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut b = GraphBuilder::new_undirected()
         .with_edge_capacity(groups * intra_per_group + inter_edges);
     b.ensure_vertices(n);

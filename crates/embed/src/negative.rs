@@ -4,7 +4,7 @@
 //! 3/4 power — frequent words are down-weighted so negatives are not all
 //! hubs. The draw itself uses the alias method (O(1)).
 
-use rand::Rng;
+use v2v_base::rng::Rng;
 use v2v_walks::alias::AliasTable;
 
 /// Exponent applied to the unigram counts, word2vec's 3/4.
@@ -34,7 +34,7 @@ impl NegativeSampler {
     /// redraw loop terminates with probability 1 whenever the vocabulary
     /// has a second item; a single-item vocabulary returns that item.
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, exclude: usize) -> usize {
+    pub fn sample(&self, rng: &mut Rng, exclude: usize) -> usize {
         if self.table.len() == 1 {
             return self.table.sample(rng);
         }
@@ -60,14 +60,12 @@ impl NegativeSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn respects_distorted_frequencies() {
         // counts 16 and 1 -> weights 16^.75 = 8 and 1: ratio 8:1.
         let s = NegativeSampler::new(&[16, 1]);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let hits0 = (0..90_000).filter(|_| s.sample(&mut rng, usize::MAX) == 0).count();
         let frac = hits0 as f64 / 90_000.0;
         assert!((frac - 8.0 / 9.0).abs() < 0.01, "frac = {frac}");
@@ -76,7 +74,7 @@ mod tests {
     #[test]
     fn excludes_positive_target() {
         let s = NegativeSampler::new(&[100, 1, 1]);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         for _ in 0..5000 {
             assert_ne!(s.sample(&mut rng, 0), 0);
         }
@@ -85,7 +83,7 @@ mod tests {
     #[test]
     fn zero_counts_get_floor() {
         let s = NegativeSampler::new(&[0, 0, 5]);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut seen = [false; 3];
         for _ in 0..10_000 {
             seen[s.sample(&mut rng, usize::MAX)] = true;
@@ -96,7 +94,7 @@ mod tests {
     #[test]
     fn single_word_vocab_degenerates_gracefully() {
         let s = NegativeSampler::new(&[3]);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         assert_eq!(s.sample(&mut rng, 0), 0); // cannot avoid the only word
         assert_eq!(s.len(), 1);
     }

@@ -8,6 +8,7 @@
 
 use crate::embedding::Embedding;
 use v2v_base::par;
+use v2v_base::rng::Rng;
 use v2v_graph::{Graph, VertexId};
 
 /// Mean neighborhood preservation: for each vertex `v` with degree `d`,
@@ -39,7 +40,6 @@ pub fn neighborhood_preservation(graph: &Graph, embedding: &Embedding) -> f64 {
 /// preserved; ~0 = random.
 pub fn similarity_margin(graph: &Graph, embedding: &Embedding, seed: u64) -> f64 {
     assert_eq!(graph.num_vertices(), embedding.len(), "graph/embedding size mismatch");
-    use rand::{Rng, SeedableRng};
     let n = graph.num_vertices();
     if n < 3 {
         return 0.0;
@@ -50,7 +50,7 @@ pub fn similarity_margin(graph: &Graph, embedding: &Embedding, seed: u64) -> f64
         if nbrs.is_empty() {
             return None;
         }
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ (i as u64) << 1);
+        let mut rng = Rng::seed_from_u64(seed ^ (i as u64) << 1);
         let pos: f64 = nbrs
             .iter()
             .map(|&u| embedding.cosine_similarity(v, u) as f64)
@@ -99,8 +99,7 @@ mod tests {
     }
 
     fn random_embedding(n: usize, d: usize, seed: u64) -> Embedding {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         Embedding::from_flat(d, (0..n * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
     }
 

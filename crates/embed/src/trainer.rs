@@ -22,16 +22,14 @@ use crate::hogwild::HogwildMatrix;
 use crate::huffman::HuffmanTree;
 use crate::negative::NegativeSampler;
 use crate::sigmoid::SigmoidTable;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use v2v_base::rng::{derive_seed, Rng};
 use v2v_linalg::kernels;
 use v2v_graph::VertexId;
 use v2v_obs::perthread::{set_phase, Phase, WorkerTable};
 use v2v_obs::ConcurrencyReport;
-use v2v_walks::rng::derive_seed;
 use v2v_walks::{WalkCorpus, WalkSource};
 
 /// What happened during training.
@@ -198,9 +196,8 @@ pub fn train_source_with_checkpoints<S: WalkSource + ?Sized>(
                 concurrency: ConcurrencyReport::default(),
             };
             // word2vec init: syn0 ~ U(-0.5, 0.5)/dim, output matrix zeros.
-            let mut rng = SmallRng::seed_from_u64(derive_seed(config.seed, 0x1217, n as u64));
-            let init: Vec<f32> =
-                (0..n * dim).map(|_| (rng.gen::<f32>() - 0.5) / dim as f32).collect();
+            let mut rng = Rng::seed_from_u64(derive_seed(config.seed, 0x1217, n as u64));
+            let init: Vec<f32> = (0..n * dim).map(|_| (rng.gen_f32() - 0.5) / dim as f32).collect();
             syn0 = HogwildMatrix::from_vec(n, dim, init);
             syn1 = HogwildMatrix::zeros(out_rows, dim);
         }
@@ -464,8 +461,8 @@ pub fn fine_tune<S: WalkSource + ?Sized>(
     let mut init = Vec::with_capacity(n * dim);
     init.extend_from_slice(base.as_flat());
     if n > base.len() {
-        let mut rng = SmallRng::seed_from_u64(derive_seed(config.seed, 0x1217, n as u64));
-        init.extend((0..(n - base.len()) * dim).map(|_| (rng.gen::<f32>() - 0.5) / dim as f32));
+        let mut rng = Rng::seed_from_u64(derive_seed(config.seed, 0x1217, n as u64));
+        init.extend((0..(n - base.len()) * dim).map(|_| (rng.gen_f32() - 0.5) / dim as f32));
     }
     let syn0 = HogwildMatrix::from_vec(n, dim, init);
     let syn1 = HogwildMatrix::zeros(out_rows, dim);
@@ -733,7 +730,7 @@ fn train_walk_body<K: kernels::Kernels>(
     // walk setup vs hidden layer vs output kernels vs input gradient.
     set_phase(Phase::WalkFetch);
     let mut rng =
-        SmallRng::seed_from_u64(derive_seed(ctx.config.seed ^ 0x7A1B, epoch, walk_idx));
+        Rng::seed_from_u64(derive_seed(ctx.config.seed ^ 0x7A1B, epoch, walk_idx));
 
     // Linear LR decay from the shared token counter, re-read per walk
     // (word2vec re-reads every 10k words; per-walk is the same idea).
@@ -753,7 +750,7 @@ fn train_walk_body<K: kernels::Kernels>(
             filtered = walk
                 .iter()
                 .copied()
-                .filter(|v| rng.gen::<f32>() < keep[v.index()])
+                .filter(|v| rng.gen_f32() < keep[v.index()])
                 .collect();
             &filtered
         }
@@ -853,7 +850,7 @@ fn train_output<K: kernels::Kernels>(
     h: &[f32],
     neu1e: &mut [f32],
     lr: f32,
-    rng: &mut SmallRng,
+    rng: &mut Rng,
     ctx: &TrainContext<'_>,
 ) -> f64 {
     let mut loss = 0.0f64;

@@ -68,9 +68,8 @@ proptest! {
     /// Negative sampling only produces valid, non-excluded indices.
     #[test]
     fn negative_sampler_valid(counts in proptest::collection::vec(0u64..50, 2..32), seed in any::<u64>()) {
-        use rand::SeedableRng;
         let sampler = NegativeSampler::new(&counts);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         for exclude in 0..counts.len().min(4) {
             for _ in 0..50 {
                 let s = sampler.sample(&mut rng, exclude);
@@ -83,8 +82,7 @@ proptest! {
     /// Embedding text I/O round-trips arbitrary finite vectors exactly.
     #[test]
     fn embedding_io_roundtrip(rows in 1usize..12, dims in 1usize..8, seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let data: Vec<f32> = (0..rows * dims).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
         let emb = v2v_embed::Embedding::from_flat(dims, data);
         let mut buf = Vec::new();

@@ -8,14 +8,13 @@
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;
 use crate::id::VertexId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use v2v_base::rng::Rng;
 
 /// Erdős–Rényi `G(n, p)`: each of the `n(n-1)/2` possible undirected edges
 /// is present independently with probability `p`.
 pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut b = GraphBuilder::new_undirected();
     b.ensure_vertices(n);
     // Skip-sampling (geometric jumps) keeps this O(m) instead of O(n^2).
@@ -42,7 +41,7 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
 pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
     let total = n * n.saturating_sub(1) / 2;
     assert!(m <= total, "requested {m} edges but only {total} distinct pairs exist");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut b = GraphBuilder::new_undirected();
     b.ensure_vertices(n);
     for idx in sample_distinct_indices(total, m, &mut rng) {
@@ -105,7 +104,7 @@ pub fn star(n: usize) -> Graph {
 /// vertices with probability proportional to degree.
 pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> Graph {
     assert!(m_attach >= 1 && n > m_attach, "need n > m_attach >= 1");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut b = GraphBuilder::new_undirected();
     b.ensure_vertices(n);
     // `endpoints` holds one entry per arc endpoint, so sampling uniformly
@@ -159,7 +158,7 @@ pub fn planted_partition(
     seed: u64,
 ) -> (Graph, Vec<usize>) {
     assert!(k >= 1 && n >= k, "need n >= k >= 1");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let labels: Vec<usize> = (0..n).map(|v| v * k / n).collect();
     let mut b = GraphBuilder::new_undirected();
     b.ensure_vertices(n);
@@ -211,7 +210,7 @@ fn triangle(u: usize) -> usize {
 
 /// Uniformly samples `k` distinct indices from `0..total` without
 /// replacement, in `O(k)` expected time (Floyd's algorithm).
-pub fn sample_distinct_indices<R: Rng>(total: usize, k: usize, rng: &mut R) -> Vec<usize> {
+pub fn sample_distinct_indices(total: usize, k: usize, rng: &mut Rng) -> Vec<usize> {
     assert!(k <= total);
     let mut chosen = std::collections::HashSet::with_capacity(k);
     let mut out = Vec::with_capacity(k);
@@ -225,7 +224,7 @@ pub fn sample_distinct_indices<R: Rng>(total: usize, k: usize, rng: &mut R) -> V
 }
 
 /// Uniformly samples `k` distinct unordered pairs `(u, v)`, `u < v < n`.
-pub fn sample_distinct_pairs<R: Rng>(n: usize, k: usize, rng: &mut R) -> Vec<(usize, usize)> {
+pub fn sample_distinct_pairs(n: usize, k: usize, rng: &mut Rng) -> Vec<(usize, usize)> {
     let total = n * n.saturating_sub(1) / 2;
     sample_distinct_indices(total, k, rng).into_iter().map(pair_from_index).collect()
 }
@@ -330,7 +329,7 @@ mod tests {
 
     #[test]
     fn sample_distinct_indices_properties() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let s = sample_distinct_indices(100, 100, &mut rng);
         let set: std::collections::HashSet<_> = s.iter().copied().collect();
         assert_eq!(set.len(), 100);
@@ -341,7 +340,7 @@ mod tests {
 
     #[test]
     fn sample_distinct_pairs_valid() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let pairs = sample_distinct_pairs(30, 200, &mut rng);
         assert_eq!(pairs.len(), 200);
         let set: std::collections::HashSet<_> = pairs.iter().copied().collect();
@@ -362,7 +361,7 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
     assert!(k.is_multiple_of(2) && k >= 2, "k must be even and >= 2");
     assert!(k < n, "k must be smaller than n");
     assert!((0.0..=1.0).contains(&beta), "beta must be in [0, 1]");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut b = GraphBuilder::new_undirected().deduplicate(true);
     b.ensure_vertices(n);
     for u in 0..n {

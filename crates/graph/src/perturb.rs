@@ -9,9 +9,7 @@
 use crate::builder::GraphBuilder;
 use crate::csr::{Edge, Graph};
 use crate::id::VertexId;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use v2v_base::rng::Rng;
 
 /// Result of a perturbation: the new graph plus what changed.
 #[derive(Clone, Debug)]
@@ -52,8 +50,8 @@ fn rebuild(original: &Graph, keep: &[Edge], add: &[(VertexId, VertexId)]) -> Gra
 pub fn remove_random_edges(graph: &Graph, fraction: f64, seed: u64) -> Perturbed {
     assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0, 1]");
     let mut edges: Vec<Edge> = graph.edges().collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    edges.shuffle(&mut rng);
+    let mut rng = Rng::seed_from_u64(seed);
+    rng.shuffle(&mut edges);
     let cut = (edges.len() as f64 * fraction).floor() as usize;
     let removed = edges.split_off(edges.len() - cut);
     Perturbed { graph: rebuild(graph, &edges, &[]), removed, added: Vec::new() }
@@ -64,7 +62,7 @@ pub fn remove_random_edges(graph: &Graph, fraction: f64, seed: u64) -> Perturbed
 pub fn add_random_edges(graph: &Graph, count: usize, seed: u64) -> Perturbed {
     let n = graph.num_vertices();
     assert!(n >= 2, "need at least two vertices to add edges");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let edges: Vec<Edge> = graph.edges().collect();
     let mut added = Vec::with_capacity(count);
     let mut new_set = std::collections::HashSet::new();

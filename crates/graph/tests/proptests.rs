@@ -53,9 +53,8 @@ proptest! {
     /// Floyd sampling returns exactly k distinct in-range indices.
     #[test]
     fn floyd_sampling_distinct(total in 1usize..500, seed in any::<u64>()) {
-        use rand::SeedableRng;
         let k = total / 2;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let s = sample_distinct_indices(total, k, &mut rng);
         prop_assert_eq!(s.len(), k);
         let set: std::collections::HashSet<_> = s.iter().copied().collect();

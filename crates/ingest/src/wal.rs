@@ -586,11 +586,17 @@ fn write_manifest(dir: &Path, sealed: &[Segment]) -> Result<(), WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard};
     use v2v_fault::FaultPlan;
 
-    /// Fault points are process-global; tests that arm one serialize here.
+    /// Fault points are process-global: an armed `ingest.wal.append` fails
+    /// whichever test appends next, so every test here runs under this
+    /// lock (poison is ignored, so one failure does not fail the rest).
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("v2v_wal_{}_{name}", std::process::id()));
@@ -611,6 +617,7 @@ mod tests {
 
     #[test]
     fn append_assigns_sequential_seqs_and_replays_in_order() {
+        let _serial = serial();
         let dir = scratch("basic");
         let mut wal = Wal::open(&dir).unwrap();
         assert_eq!(wal.next_seq(), 1);
@@ -627,6 +634,7 @@ mod tests {
 
     #[test]
     fn reopen_resumes_after_the_last_durable_record() {
+        let _serial = serial();
         let dir = scratch("reopen");
         {
             let mut wal = Wal::open(&dir).unwrap();
@@ -642,6 +650,7 @@ mod tests {
 
     #[test]
     fn rotation_seals_segments_and_replay_crosses_them() {
+        let _serial = serial();
         let dir = scratch("rotate");
         let opts = WalOptions { segment_bytes: 4 * RECORD_BYTES as u64 };
         let mut wal = Wal::open_with(&dir, opts).unwrap();
@@ -663,6 +672,7 @@ mod tests {
 
     #[test]
     fn size_accounting_tracks_segments_and_bytes() {
+        let _serial = serial();
         let dir = scratch("sizes");
         let opts = WalOptions { segment_bytes: 4 * RECORD_BYTES as u64 };
         let mut wal = Wal::open_with(&dir, opts).unwrap();
@@ -695,6 +705,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
+        let _serial = serial();
         let dir = scratch("torn");
         {
             let mut wal = Wal::open(&dir).unwrap();
@@ -715,6 +726,7 @@ mod tests {
 
     #[test]
     fn corrupt_full_record_at_tail_is_also_truncated() {
+        let _serial = serial();
         let dir = scratch("corrupt_tail");
         {
             let mut wal = Wal::open(&dir).unwrap();
@@ -735,6 +747,7 @@ mod tests {
 
     #[test]
     fn corrupt_sealed_segment_is_rejected_not_repaired() {
+        let _serial = serial();
         let dir = scratch("sealed");
         let opts = WalOptions { segment_bytes: 2 * RECORD_BYTES as u64 };
         {
@@ -759,7 +772,7 @@ mod tests {
 
     #[test]
     fn injected_short_write_rolls_back_and_retry_is_bit_identical() {
-        let _guard = FAULT_LOCK.lock().unwrap();
+        let _serial = serial();
         let dir = scratch("short");
         let reference = scratch("short_ref");
 
@@ -789,7 +802,7 @@ mod tests {
 
     #[test]
     fn injected_short_write_then_crash_recovers_every_acked_record() {
-        let _guard = FAULT_LOCK.lock().unwrap();
+        let _serial = serial();
         let dir = scratch("short_crash");
         {
             let mut wal = Wal::open(&dir).unwrap();
@@ -814,7 +827,7 @@ mod tests {
 
     #[test]
     fn injected_fsync_error_fails_the_batch_without_acking() {
-        let _guard = FAULT_LOCK.lock().unwrap();
+        let _serial = serial();
         let dir = scratch("fsync");
         let mut wal = Wal::open(&dir).unwrap();
         wal.append_batch(&edges(2, 0)).unwrap();
@@ -831,6 +844,7 @@ mod tests {
 
     #[test]
     fn replay_from_skips_already_applied_prefix() {
+        let _serial = serial();
         let dir = scratch("replay_from");
         let mut wal = Wal::open(&dir).unwrap();
         wal.append_batch(&edges(5, 0)).unwrap();
@@ -843,6 +857,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
+        let _serial = serial();
         let dir = scratch("empty");
         let mut wal = Wal::open(&dir).unwrap();
         let (first, last) = wal.append_batch(&[]).unwrap();

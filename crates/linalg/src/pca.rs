@@ -12,8 +12,7 @@
 use crate::matrix::RowMatrix;
 use crate::stats;
 use crate::vector;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use v2v_base::rng::Rng;
 
 /// A fitted PCA model.
 #[derive(Clone, Debug)]
@@ -97,7 +96,7 @@ pub fn power_iteration_top_k(
     let d = sym.rows();
     assert_eq!(sym.rows(), sym.cols(), "matrix must be square");
     assert!(k <= d);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut deflated = sym.clone();
     let mut values = Vec::with_capacity(k);
     let mut vectors = RowMatrix::zeros(k, d);
@@ -240,8 +239,7 @@ mod tests {
     #[test]
     fn power_iteration_components_orthonormal() {
         // Symmetric random PSD: B^T B.
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let rows: Vec<Vec<f64>> =
             (0..6).map(|_| (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
         let b = RowMatrix::from_rows(&rows);
@@ -262,8 +260,7 @@ mod tests {
 
     #[test]
     fn jacobi_matches_power_iteration() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let rows: Vec<Vec<f64>> =
             (0..8).map(|_| (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
         let b = RowMatrix::from_rows(&rows);
@@ -304,8 +301,7 @@ mod tests {
     #[test]
     fn pca_recovers_dominant_direction() {
         // Points spread along (1, 1)/sqrt(2) with small noise orthogonal.
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let rows: Vec<Vec<f64>> = (0..200)
             .map(|_| {
                 let t: f64 = rng.gen_range(-5.0..5.0);

@@ -155,8 +155,7 @@ mod tests {
 
     #[test]
     fn covariance_bits_do_not_depend_on_the_thread_count() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(7);
         // 16 columns run inline; 64 go through the worker threads.
         for d in [16, 64] {
             let n = 1000;
@@ -181,8 +180,7 @@ mod tests {
 
     #[test]
     fn covariance_is_symmetric_random() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(1);
         let rows: Vec<Vec<f64>> =
             (0..20).map(|_| (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
         let cov = covariance(&RowMatrix::from_rows(&rows));

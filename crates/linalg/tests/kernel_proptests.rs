@@ -42,8 +42,7 @@ proptest! {
     #[test]
     fn reductions_match_reference(idx in 0..LENGTHS.len(), seed in any::<u64>()) {
         let len = LENGTHS[idx];
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let a: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
         let b: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
         let want_dot = dot_ref(&a, &b);
@@ -68,8 +67,7 @@ proptest! {
     #[test]
     fn reductions_are_bitwise_symmetric(idx in 0..LENGTHS.len(), seed in any::<u64>()) {
         let len = LENGTHS[idx];
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let a: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
         let b: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
         for bk in Backend::available() {
@@ -99,8 +97,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let len = LENGTHS[idx];
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let x: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
         let y: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
         for bk in Backend::available() {
@@ -141,8 +138,7 @@ proptest! {
     #[test]
     fn kernels_trait_matches_dispatched(idx in 0..LENGTHS.len(), seed in any::<u64>()) {
         let len = LENGTHS[idx];
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let a: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
         let b: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
 

@@ -31,8 +31,7 @@ proptest! {
     /// Matrix multiplication distributes over addition (A(B + C) = AB + AC).
     #[test]
     fn matmul_distributes(seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let mut mk = |r: usize, c: usize| {
             RowMatrix::from_flat(r, c, (0..r * c).map(|_| rng.gen_range(-2.0..2.0)).collect())
         };
@@ -60,8 +59,7 @@ proptest! {
     /// Covariance is symmetric PSD: x^T C x >= 0 for random x.
     #[test]
     fn covariance_is_psd(seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let rows: Vec<Vec<f64>> =
             (0..12).map(|_| (0..4).map(|_| rng.gen_range(-3.0..3.0)).collect()).collect();
         let cov = covariance(&RowMatrix::from_rows(&rows));
@@ -77,8 +75,7 @@ proptest! {
     /// symmetric PSD matrices, and eigenvalues are non-negative.
     #[test]
     fn eigensolvers_agree(seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let d = 5;
         let b = RowMatrix::from_flat(
             d, d, (0..d * d).map(|_| rng.gen_range(-1.0..1.0)).collect());

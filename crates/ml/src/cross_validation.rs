@@ -5,9 +5,7 @@
 //! the other nine. [`kfold`] produces the index splits; the caller runs the
 //! classifier per fold.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use v2v_base::rng::Rng;
 
 /// One train/test split.
 #[derive(Clone, Debug)]
@@ -27,8 +25,8 @@ pub fn kfold(n: usize, folds: usize, seed: u64) -> Vec<Fold> {
     assert!(folds >= 1, "need at least one fold");
     assert!(folds <= n, "cannot make {folds} folds from {n} items");
     let mut indices: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    indices.shuffle(&mut rng);
+    let mut rng = Rng::seed_from_u64(seed);
+    rng.shuffle(&mut indices);
 
     // Spread the remainder over the first `n % folds` folds.
     let base = n / folds;

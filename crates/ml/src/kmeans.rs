@@ -7,11 +7,10 @@
 //! objective is then summed in point order, so it has the same bits on
 //! every host.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use v2v_base::par;
-use v2v_linalg::vector::euclidean_sq;
+use v2v_base::rng::Rng;
 use v2v_linalg::RowMatrix;
+use v2v_linalg::vector::euclidean_sq;
 
 /// How initial centroids are chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +91,7 @@ fn kmeans_on(threads: usize, data: &RowMatrix, config: &KMeansConfig) -> KMeansR
 
     let mut best: Option<KMeansResult> = None;
     for r in 0..config.restarts {
-        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64 * 0x9E37));
+        let mut rng = Rng::seed_from_u64(config.seed.wrapping_add(r as u64 * 0x9E37));
         let result = lloyd_once(threads, data, config, &mut rng);
         if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
             best = Some(result);
@@ -105,7 +104,7 @@ fn lloyd_once(
     threads: usize,
     data: &RowMatrix,
     config: &KMeansConfig,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> KMeansResult {
     let n = data.rows();
     let d = data.cols();
@@ -187,7 +186,7 @@ fn lloyd_once(
     KMeansResult { assignments, centroids, inertia: prev_inertia, iterations }
 }
 
-fn init_random(data: &RowMatrix, k: usize, rng: &mut StdRng) -> RowMatrix {
+fn init_random(data: &RowMatrix, k: usize, rng: &mut Rng) -> RowMatrix {
     let n = data.rows();
     let mut picked = std::collections::HashSet::new();
     let mut centroids = RowMatrix::zeros(k, data.cols());
@@ -202,7 +201,7 @@ fn init_random(data: &RowMatrix, k: usize, rng: &mut StdRng) -> RowMatrix {
     centroids
 }
 
-fn init_plus_plus(data: &RowMatrix, k: usize, rng: &mut StdRng) -> RowMatrix {
+fn init_plus_plus(data: &RowMatrix, k: usize, rng: &mut Rng) -> RowMatrix {
     let n = data.rows();
     let mut centroids = RowMatrix::zeros(k, data.cols());
     let first = rng.gen_range(0..n);
@@ -218,7 +217,7 @@ fn init_plus_plus(data: &RowMatrix, k: usize, rng: &mut StdRng) -> RowMatrix {
             // All points coincide with chosen centroids; pick uniformly.
             rng.gen_range(0..n)
         } else {
-            let mut target = rng.gen::<f64>() * total;
+            let mut target = rng.gen_f64() * total;
             let mut pick = n - 1;
             for (i, &w) in dist2.iter().enumerate() {
                 target -= w;
@@ -246,7 +245,7 @@ mod tests {
 
     /// Three well-separated 2-D blobs.
     fn blobs(seed: u64) -> (RowMatrix, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let centers = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)];
         let mut rows = Vec::new();
         let mut labels = Vec::new();

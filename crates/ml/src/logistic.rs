@@ -6,9 +6,8 @@
 //! a plain batch gradient-descent implementation with L2 regularization —
 //! adequate for embedding-sized feature matrices.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use v2v_base::par;
+use v2v_base::rng::Rng;
 use v2v_linalg::RowMatrix;
 
 /// Training hyper-parameters.
@@ -57,7 +56,7 @@ impl LogisticRegression {
         let k = labels.iter().copied().max().unwrap() + 1;
         assert!(k >= 2, "need at least 2 classes");
 
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let mut weights = RowMatrix::from_flat(
             k,
             d + 1,
@@ -161,7 +160,7 @@ mod tests {
     use super::*;
 
     fn blobs() -> (RowMatrix, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let centers = [[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]];
         let mut rows = Vec::new();
         let mut labels = Vec::new();

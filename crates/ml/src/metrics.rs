@@ -325,9 +325,8 @@ mod auc_tests {
 
     #[test]
     fn random_scores_near_half() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let scores: Vec<f64> = (0..4000).map(|_| rng.gen::<f64>()).collect();
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(1);
+        let scores: Vec<f64> = (0..4000).map(|_| rng.gen_f64()).collect();
         let labels: Vec<bool> = (0..4000).map(|_| rng.gen_bool(0.5)).collect();
         let auc = roc_auc(&scores, &labels);
         assert!((auc - 0.5).abs() < 0.03, "auc = {auc}");

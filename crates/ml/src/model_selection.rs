@@ -103,10 +103,9 @@ pub fn elbow_curve(data: &RowMatrix, candidates: &[usize], base: &KMeansConfig) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
 
     fn blobs(k: usize, per: usize, sep: f64, seed: u64) -> (RowMatrix, Vec<usize>) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let mut rows = Vec::new();
         let mut labels = Vec::new();
         for c in 0..k {
@@ -131,7 +130,7 @@ mod tests {
     #[test]
     fn random_assignment_scores_low() {
         let (data, _) = blobs(3, 20, 20.0, 2);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(3);
         let random: Vec<usize> = (0..60).map(|_| rng.gen_range(0..3)).collect();
         let s = silhouette_score(&data, &random);
         assert!(s < 0.2, "silhouette of random labels {s}");

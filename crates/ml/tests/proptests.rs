@@ -49,8 +49,7 @@ proptest! {
     /// the recomputed objective; every cluster's centroid is finite.
     #[test]
     fn kmeans_invariants(seed in any::<u64>(), k in 1usize..5) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         let rows: Vec<Vec<f64>> =
             (0..30).map(|_| (0..3).map(|_| rng.gen_range(-5.0..5.0)).collect()).collect();
         let data = RowMatrix::from_rows(&rows);

@@ -50,14 +50,13 @@
 //! (monotone-equivalent for ranking). All ranking uses `total_cmp`, so
 //! NaNs from degenerate rows rank last instead of panicking the server.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 use v2v_base::par;
+use v2v_base::rng::Rng;
 use v2v_embed::Embedding;
 use v2v_linalg::kernels;
 
@@ -144,6 +143,15 @@ struct Push {
     layer: u32,
     id: u32,
     dist: f32,
+}
+
+/// A vertex's top layer: geometric with `mL = 1 / ln m`, capped so
+/// pathological draws can't allocate absurd layer vectors. The build and
+/// `patched` both draw levels here.
+fn draw_level(rng: &mut Rng, m: usize) -> usize {
+    let ml = 1.0 / (m as f64).ln();
+    let u = 1.0 - rng.gen_f64(); // (0, 1]
+    ((-u.ln() * ml) as usize).min(24)
 }
 
 /// Algorithm 4's diversity heuristic: walk candidates nearest-first and
@@ -532,16 +540,8 @@ impl HnswIndex {
 
     /// Builds the layered graph in doubling rounds (see module docs).
     fn build_graph(&mut self, n: usize, threads: usize) {
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        // Geometric level assignment, capped so pathological draws can't
-        // allocate absurd layer vectors.
-        let ml = 1.0 / (self.config.m as f64).ln();
-        self.levels = (0..n)
-            .map(|_| {
-                let u: f64 = 1.0 - rng.gen_range(0.0..1.0); // (0, 1]
-                ((-u.ln() * ml) as usize).min(24)
-            })
-            .collect();
+        let mut rng = Rng::seed_from_u64(self.config.seed);
+        self.levels = (0..n).map(|_| draw_level(&mut rng, self.config.m)).collect();
         self.links = self
             .levels
             .iter()
@@ -822,12 +822,10 @@ impl HnswIndex {
             relink(&mut idx, id);
         }
 
-        let ml = 1.0 / (idx.config.m as f64).ln();
         for id in n_old..n_new {
             let mut rng =
-                SmallRng::seed_from_u64(idx.config.seed ^ (id as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            let u: f64 = 1.0 - rng.gen_range(0.0..1.0); // (0, 1]
-            let level = ((-u.ln() * ml) as usize).min(24);
+                Rng::seed_from_u64(idx.config.seed ^ (id as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            let level = draw_level(&mut rng, idx.config.m);
             idx.levels.push(level);
             idx.links.push(vec![Vec::new(); level + 1]);
             relink(&mut idx, id);
@@ -1077,7 +1075,7 @@ mod tests {
     /// Deterministic clustered test vectors: `clusters` centers, points
     /// jittered around them.
     fn clustered(n: usize, dims: usize, clusters: usize, seed: u64) -> Vec<f32> {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let centers: Vec<f32> =
             (0..clusters * dims).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let mut out = Vec::with_capacity(n * dims);
@@ -1168,7 +1166,7 @@ mod tests {
 
         // Move 40 existing rows (small perturbations, like fine-tuning
         // does) and append 60 new rows.
-        let mut rng = SmallRng::seed_from_u64(99);
+        let mut rng = Rng::seed_from_u64(99);
         let updates: Vec<(usize, Vec<f32>)> = (0..40)
             .map(|i| {
                 let id = (i * 29) % n;
@@ -1312,7 +1310,7 @@ mod tests {
         // exact in f32 whatever the summation order, so the graph — and
         // the pinned bytes — are the same on every kernel backend.
         let dims = 8;
-        let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
+        let mut rng = Rng::seed_from_u64(0xC0FFEE);
         let data: Vec<f32> =
             (0..700 * dims).map(|_| rng.gen_range(-8i32..=8) as f32).collect();
         let cfg = small_config(Metric::Euclidean);
@@ -1332,7 +1330,7 @@ mod tests {
         for i in (700..n).step_by(7) {
             data.copy_within((i - 650) * dims..(i - 649) * dims, i * dims);
         }
-        let mut rng = SmallRng::seed_from_u64(0xFA7C4);
+        let mut rng = Rng::seed_from_u64(0xFA7C4);
         let updates = (0..40)
             .map(|i| {
                 let id = (i * 71 + 5) % n;

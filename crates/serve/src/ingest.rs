@@ -34,14 +34,12 @@
 use crate::api::{ServeHandle, ServeState};
 use crate::hnsw::HnswIndex;
 use crate::http::{retry_after_secs, Handler, Request, Response};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use v2v_base::rng::mix;
+use v2v_base::rng::{mix, Rng};
 use v2v_embed::{fine_tune, EmbedConfig, Embedding};
 use v2v_graph::{DeltaGraph, GraphBuilder, VertexId};
 use v2v_ingest::{EdgeUpdate, Wal, WalRecord};
@@ -428,7 +426,7 @@ impl RefreshEngine {
                         ^ t as u64,
                 );
                 let walk =
-                    walker.walk(v, self.config.walk_length, &mut SmallRng::seed_from_u64(seed));
+                    walker.walk(v, self.config.walk_length, &mut Rng::seed_from_u64(seed));
                 if walk.len() >= 2 {
                     walks.push(walk);
                 }

@@ -2,13 +2,12 @@
 //! random clustered data, and exact equality when the beam is exhaustive.
 
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use v2v_base::rng::Rng;
 use v2v_serve::{HnswConfig, HnswIndex, Metric};
 
 /// `n` vectors jittered around `clusters` random centers.
 fn clustered(n: usize, dims: usize, clusters: usize, seed: u64) -> Vec<f32> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let centers: Vec<f32> = (0..clusters * dims).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let mut out = Vec::with_capacity(n * dims);
     for i in 0..n {

@@ -12,9 +12,8 @@
 //! enough for the paper-scale graphs (10^3 vertices).
 
 use crate::quadtree::{Body, QuadTree};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use v2v_base::par;
+use v2v_base::rng::Rng;
 use v2v_graph::Graph;
 
 /// Layout parameters.
@@ -60,7 +59,7 @@ impl ForceAtlas2 {
         if n == 0 {
             return Vec::new();
         }
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let mut pos: Vec<[f64; 2]> =
             (0..n).map(|_| [rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)]).collect();
         let mass: Vec<f64> =

@@ -37,11 +37,10 @@ pub fn project_embedding(data: &RowMatrix, k: usize, seed: u64) -> Projection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn projection_shape() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(1);
         let rows: Vec<Vec<f64>> =
             (0..40).map(|_| (0..10).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
         let data = RowMatrix::from_rows(&rows);
@@ -57,7 +56,7 @@ mod tests {
     #[test]
     fn separated_clusters_stay_separated_in_2d() {
         // Two blobs far apart in 8-D must separate along PC1.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(2);
         let mut rows = Vec::new();
         for c in 0..2 {
             for _ in 0..20 {

@@ -177,10 +177,9 @@ pub fn exact_repulsion(bodies: &[Body], i: usize, coefficient: f64) -> [f64; 2] 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
 
     fn random_bodies(n: usize, seed: u64) -> Vec<Body> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = v2v_base::rng::Rng::seed_from_u64(seed);
         (0..n)
             .map(|_| Body {
                 pos: [rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0)],

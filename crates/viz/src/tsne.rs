@@ -6,11 +6,10 @@
 //! search on perplexity, Student-t output affinities, gradient descent
 //! with momentum and early exaggeration.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use v2v_base::par;
-use v2v_linalg::vector::euclidean_sq;
+use v2v_base::rng::Rng;
 use v2v_linalg::RowMatrix;
+use v2v_linalg::vector::euclidean_sq;
 
 /// t-SNE parameters.
 #[derive(Clone, Copy, Debug)]
@@ -58,7 +57,7 @@ pub fn tsne(data: &RowMatrix, config: &TsneConfig) -> RowMatrix {
 
     let p = joint_affinities(data, config.perplexity);
 
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let d = config.out_dims;
     let mut y: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-1e-2..1e-2)).collect();
     let mut velocity = vec![0.0f64; n * d];
@@ -181,7 +180,7 @@ mod tests {
     use super::*;
 
     fn blobs(n_per: usize, seed: u64) -> (RowMatrix, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut rows = Vec::new();
         let mut labels = Vec::new();
         for (c, center) in [[0.0, 0.0, 0.0], [20.0, 0.0, 0.0], [0.0, 20.0, 0.0]]

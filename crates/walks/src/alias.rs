@@ -5,7 +5,7 @@
 //! [`AliasTable`] built once makes each step constant-time, which is what
 //! keeps weighted corpora as cheap as uniform ones.
 
-use rand::Rng;
+use v2v_base::rng::Rng;
 
 /// A prepared alias table over `n` outcomes.
 #[derive(Clone, Debug)]
@@ -79,9 +79,9 @@ impl AliasTable {
 
     /// Draws one outcome index.
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub fn sample(&self, rng: &mut Rng) -> usize {
         let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[i] {
+        if rng.gen_f64() < self.prob[i] {
             i
         } else {
             self.alias[i] as usize
@@ -92,12 +92,10 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn empirical(weights: &[f64], draws: usize, seed: u64) -> Vec<f64> {
         let table = AliasTable::new(weights);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut counts = vec![0usize; weights.len()];
         for _ in 0..draws {
             counts[table.sample(&mut rng)] += 1;
@@ -131,7 +129,7 @@ mod tests {
     #[test]
     fn single_outcome() {
         let t = AliasTable::new(&[3.5]);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         for _ in 0..100 {
             assert_eq!(t.sample(&mut rng), 0);
         }

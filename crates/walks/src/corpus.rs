@@ -7,12 +7,10 @@
 //! per-walk seed derivation the corpus is byte-identical for any number of
 //! threads.
 
-use crate::rng::derive_seed;
 use crate::strategy::WalkStrategy;
 use crate::walker::{WalkError, Walker};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use v2v_base::par;
+use v2v_base::rng::{derive_seed, Rng};
 use v2v_graph::{Graph, VertexId};
 
 /// Parameters for corpus generation.
@@ -85,7 +83,7 @@ fn walk_jobs(
         let job = jobs.start + i;
         let v = VertexId::from_index(job / t);
         let seed = derive_seed(config.seed, v.0 as u64, (job % t) as u64);
-        walker.walk(v, config.walk_length, &mut SmallRng::seed_from_u64(seed))
+        walker.walk(v, config.walk_length, &mut Rng::seed_from_u64(seed))
     });
     // Recorded once per batch, outside the hot loop. A walk shorter than
     // requested means the walker got stuck (directed sink, temporal dead

@@ -13,8 +13,6 @@
 //! * [`corpus`] — parallel, deterministic corpus generation
 //!   ([`WalkCorpus`]) and the sliding context windows consumed by the
 //!   CBOW/SkipGram trainer.
-//! * [`rng`] — SplitMix64 seed derivation so corpora are identical for any
-//!   thread count.
 //!
 //! ```
 //! use v2v_walks::{WalkConfig, WalkCorpus, WalkStrategy};
@@ -33,7 +31,6 @@
 
 pub mod alias;
 pub mod corpus;
-pub mod rng;
 pub mod source;
 pub mod stats;
 pub mod strategy;

@@ -2,8 +2,8 @@
 
 use crate::alias::AliasTable;
 use crate::strategy::WalkStrategy;
-use rand::Rng;
 use std::fmt;
+use v2v_base::rng::Rng;
 use v2v_graph::{Graph, VertexId};
 
 /// Errors from configuring a walker.
@@ -71,12 +71,7 @@ impl<'g> Walker<'g> {
     /// The walk always contains `start`; it is shorter than `length` only
     /// when the walk gets stuck (directed sink, temporal dead end, isolated
     /// vertex, or zero-weight neighborhood).
-    pub fn walk<R: Rng + ?Sized>(
-        &self,
-        start: VertexId,
-        length: usize,
-        rng: &mut R,
-    ) -> Vec<VertexId> {
+    pub fn walk(&self, start: VertexId, length: usize, rng: &mut Rng) -> Vec<VertexId> {
         assert!(start.index() < self.graph.num_vertices(), "start vertex out of range");
         let mut walk = Vec::with_capacity(length);
         if length == 0 {
@@ -115,7 +110,7 @@ impl<'g> Walker<'g> {
     }
 
     #[inline]
-    fn step_uniform<R: Rng + ?Sized>(&self, cur: VertexId, rng: &mut R) -> Option<VertexId> {
+    fn step_uniform(&self, cur: VertexId, rng: &mut Rng) -> Option<VertexId> {
         let nbrs = self.graph.neighbors(cur);
         if nbrs.is_empty() {
             None
@@ -125,18 +120,18 @@ impl<'g> Walker<'g> {
     }
 
     #[inline]
-    fn step_alias<R: Rng + ?Sized>(&self, cur: VertexId, rng: &mut R) -> Option<VertexId> {
+    fn step_alias(&self, cur: VertexId, rng: &mut Rng) -> Option<VertexId> {
         let table = self.tables.as_ref().expect("alias strategies build tables")[cur.index()]
             .as_ref()?;
         Some(self.graph.neighbors(cur)[table.sample(rng)])
     }
 
-    fn step_temporal<R: Rng + ?Sized>(
+    fn step_temporal(
         &self,
         cur: VertexId,
         last_time: Option<u64>,
         window: Option<u64>,
-        rng: &mut R,
+        rng: &mut Rng,
     ) -> Option<(VertexId, u64)> {
         let nbrs = self.graph.neighbors(cur);
         let times = self.graph.neighbor_timestamps(cur).expect("validated temporal graph");
@@ -158,13 +153,13 @@ impl<'g> Walker<'g> {
         chosen
     }
 
-    fn step_node2vec<R: Rng + ?Sized>(
+    fn step_node2vec(
         &self,
         cur: VertexId,
         prev: Option<VertexId>,
         p: f64,
         q: f64,
-        rng: &mut R,
+        rng: &mut Rng,
     ) -> Option<VertexId> {
         let nbrs = self.graph.neighbors(cur);
         if nbrs.is_empty() {
@@ -200,7 +195,7 @@ impl<'g> Walker<'g> {
         if total <= 0.0 {
             return None;
         }
-        let mut r = rng.gen::<f64>() * total;
+        let mut r = rng.gen_f64() * total;
         for (i, &x) in nbrs.iter().enumerate() {
             r -= weight_of(i, x);
             if r <= 0.0 {
@@ -231,12 +226,10 @@ fn build_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use v2v_graph::{generators, GraphBuilder};
 
-    fn rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed)
+    fn rng(seed: u64) -> Rng {
+        Rng::seed_from_u64(seed)
     }
 
     #[test]

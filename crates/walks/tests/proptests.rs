@@ -1,8 +1,7 @@
 //! Property-based tests for the walk engine.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use v2v_base::rng::Rng;
 use v2v_walks::alias::AliasTable;
 use v2v_walks::walker::Walker;
 use v2v_walks::{WalkConfig, WalkCorpus, WalkStrategy};
@@ -14,7 +13,7 @@ proptest! {
         let mut weights = vec![1.0; n];
         weights[0] = 1000.0;
         let t = AliasTable::new(&weights);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let hits = (0..500).filter(|_| t.sample(&mut rng) == 0).count();
         prop_assert!(hits > 400, "dominant outcome hit only {hits}/500");
     }
@@ -25,7 +24,7 @@ proptest! {
     fn walks_follow_edges(n in 4usize..30, seed in any::<u64>(), start in 0u32..4) {
         let g = v2v_graph::generators::ring(n);
         let w = Walker::new(&g, WalkStrategy::Uniform).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let walk = w.walk(v2v_graph::VertexId(start), 25, &mut rng);
         prop_assert_eq!(walk.len(), 25);
         for pair in walk.windows(2) {
@@ -71,7 +70,7 @@ proptest! {
         }
         let g = b.build().unwrap();
         let w = Walker::new(&g, WalkStrategy::Temporal { window: None }).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         for start in 0..10u32 {
             let walk = w.walk(v2v_graph::VertexId(start), 12, &mut rng);
             // Reconstruct traversed timestamps and check monotonicity.

@@ -10,9 +10,8 @@
 //! cargo run --release --example request_paths
 //! ```
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use v2v::{V2vConfig, V2vModel, VertexId};
+use v2v_base::rng::Rng;
 use v2v_walks::WalkCorpus;
 
 fn main() {
@@ -22,7 +21,7 @@ fn main() {
     let num_workstations = 16usize;
     let num_clients = 24usize;
     let n = num_workstations + num_clients;
-    let mut rng = StdRng::seed_from_u64(99);
+    let mut rng = Rng::seed_from_u64(99);
 
     let mut paths: Vec<Vec<VertexId>> = Vec::new();
     for client in 0..num_clients {

@@ -20,6 +20,15 @@ if grep -rn rayon --include=Cargo.toml --include=Cargo.lock --include='*.rs' \
   echo "rayon is mentioned again (see above); data-parallel code goes through v2v_base::par" >&2
   exit 1
 fi
+# One generator: every random stream is a `v2v_base::rng::Rng`. The vendored
+# rand and criterion stand-ins are gone, and vendor/ keeps proptest alone.
+if grep -rnw --include=Cargo.toml -e rand -e criterion Cargo.toml crates vendor \
+    || grep -nw -e rand -e criterion Cargo.lock \
+    || grep -rnE --include='*.rs' '\brand::|SmallRng|StdRng' crates src tests examples \
+    || [ "$(find vendor -mindepth 1 -maxdepth 1 -type d | wc -l)" -gt 1 ]; then
+  echo "a second generator, rand/criterion or another vendored crate is back (see above)" >&2
+  exit 1
+fi
 # One way in: the server takes its settings as ServerConfig values, `.v2s`
 # is the one binary embedding format, and hardware counters are `perf stat`'s
 # job. None of the three may come back by name.
