@@ -1,6 +1,8 @@
-//! FNV-1a 64-bit hashing — the workspace's one checksum primitive: WAL
-//! records, V2VC checkpoint sections, the `.v2s` store's header, shards
-//! and fingerprint, and HNSW snapshots all call this.
+//! FNV-1a 64-bit hashing — the workspace's one checksum primitive. Every
+//! binary format's trailing checksum goes through [`crate::bytes::seal`]
+//! and [`crate::bytes::unseal`], which call this; the `.v2s` store's
+//! payload shards and fingerprint, the streamed corpus shards and the
+//! build fingerprints chain it directly.
 
 /// FNV-1a 64-bit offset basis: the initial `state` for a fresh hash.
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;

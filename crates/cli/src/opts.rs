@@ -313,7 +313,7 @@ const GIT_REV: EnvVar =
     env("GIT_REV", Some("unknown"), "serve: revision named by the build_info gauge on /metricz");
 
 /// The environment section of `v2v help`. The first five are read by
-/// [`Env::resolve`] and nowhere else; the last three are process-wide
+/// [`Env::resolve`] and nowhere else; the last two are process-wide
 /// diagnostic switches the library crates read themselves.
 pub const ENVIRONMENT: &[EnvVar] = &[
     PROFILE_HZ,
@@ -322,11 +322,6 @@ pub const ENVIRONMENT: &[EnvVar] = &[
     FLIGHT_DUMP,
     GIT_REV,
     env("V2V_LOG", Some("info"), "stderr log level: off, error, info, debug, trace"),
-    env(
-        "V2V_NO_MMAP", None,
-        "set to 1 to load `.v2s` stores onto the heap instead of mmap-ing them (verifies every \
-         shard checksum up front)",
-    ),
     env(
         "V2V_NO_SIMD", None,
         "set to 1 to force the scalar f32 kernels in training and ANN search; single-threaded \

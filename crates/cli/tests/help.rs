@@ -36,7 +36,7 @@ fn help_documents_every_surface() {
             "store",
             &[
                 "v2v walks", "v2v index", "--corpus", "--shard-mb", "--store", ".v2s",
-                "--rebuild-index", "V2V_NO_MMAP", "serve.cold_start_ms",
+                "--rebuild-index", "serve.cold_start_ms",
             ],
         ),
         // The serve-side WAL flags, the streaming client, the recovery gauges.

@@ -3,14 +3,15 @@
 //! about "larger scale networks" is exactly the regime Louvain serves.
 
 use crate::{compact_labels, Partition};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use v2v_base::rng::Rng;
 use v2v_graph::Graph;
 
 /// Weighted working graph for the aggregation phases: adjacency maps with
-/// explicit self-loop weights.
+/// explicit self-loop weights. Ordered maps, so gain ties and degree sums
+/// resolve the same way on every run (hash-map order differs per map).
 struct WorkGraph {
-    adj: Vec<HashMap<usize, f64>>,
+    adj: Vec<BTreeMap<usize, f64>>,
     self_loops: Vec<f64>,
     total_weight: f64, // m (undirected convention)
 }
@@ -18,7 +19,7 @@ struct WorkGraph {
 impl WorkGraph {
     fn from_graph(g: &Graph) -> WorkGraph {
         let n = g.num_vertices();
-        let mut adj: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n];
+        let mut adj: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); n];
         let mut self_loops = vec![0.0; n];
         let mut total = 0.0;
         for e in g.edges() {
@@ -64,7 +65,7 @@ fn one_level(wg: &WorkGraph, rng: &mut Rng) -> (Vec<usize>, bool) {
         for &v in &order {
             let cur = community[v];
             // Weights from v to each neighboring community.
-            let mut to_comm: HashMap<usize, f64> = HashMap::new();
+            let mut to_comm: BTreeMap<usize, f64> = BTreeMap::new();
             for (&u, &w) in &wg.adj[v] {
                 *to_comm.entry(community[u]).or_insert(0.0) += w;
             }
@@ -101,7 +102,7 @@ fn one_level(wg: &WorkGraph, rng: &mut Rng) -> (Vec<usize>, bool) {
 
 /// Aggregates communities into super-nodes.
 fn aggregate(wg: &WorkGraph, labels: &[usize], k: usize) -> WorkGraph {
-    let mut adj: Vec<HashMap<usize, f64>> = vec![HashMap::new(); k];
+    let mut adj: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); k];
     let mut self_loops = vec![0.0; k];
     for v in 0..wg.n() {
         let cv = labels[v];
@@ -204,6 +205,23 @@ mod tests {
         let a = louvain(&g, 7);
         let b = louvain(&g, 7);
         assert_eq!(a.labels, b.labels);
+
+        // Gain ties and degree sums must not follow hash-map order, which
+        // differs from one map to the next even inside one process.
+        let graphs = [
+            ("planted", generators::planted_partition(300, 10, 0.1, 0.02, 11).0),
+            ("ring", generators::ring(60)),
+            ("gnp", generators::gnp(200, 0.03, 5)),
+            ("watts_strogatz", generators::watts_strogatz(200, 4, 0.1, 3)),
+        ];
+        for (name, g) in graphs {
+            let first = louvain(&g, 7);
+            for _ in 0..10 {
+                let again = louvain(&g, 7);
+                assert_eq!(again.labels, first.labels, "{name}");
+                assert_eq!(again.modularity.to_bits(), first.modularity.to_bits(), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 use crate::config::{Architecture, EmbedConfig, OutputLayer};
 use std::path::{Path, PathBuf};
+use v2v_base::bytes::{self, seal, unseal, Put, Reader};
 use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 
 /// Checkpoint file magic: "V2V Checkpoint".
@@ -157,20 +158,23 @@ pub fn fingerprint(config: &EmbedConfig, num_vertices: usize, num_tokens: usize)
 fn push_section(out: &mut Vec<u8>, tag: &[u8; 4], payload: &[u8]) {
     let start = out.len();
     out.extend_from_slice(tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.put(payload.len() as u64);
     out.extend_from_slice(payload);
-    let checksum = fnv1a64(FNV_OFFSET, &out[start..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    seal(out, start);
 }
 
 fn matrix_payload(rows: usize, cols: usize, data: &[f32]) -> Vec<u8> {
     let mut p = Vec::with_capacity(12 + data.len() * 4);
-    p.extend_from_slice(&(rows as u64).to_le_bytes());
-    p.extend_from_slice(&(cols as u32).to_le_bytes());
-    for &x in data {
-        p.extend_from_slice(&x.to_le_bytes());
-    }
+    p.put(rows as u64);
+    p.put(cols as u32);
+    p.put_all(data);
     p
+}
+
+impl From<bytes::Error> for CheckpointError {
+    fn from(e: bytes::Error) -> Self {
+        CheckpointError::Format(e.to_string())
+    }
 }
 
 impl TrainCheckpoint {
@@ -180,22 +184,22 @@ impl TrainCheckpoint {
             64 + (self.syn0.2.len() + self.syn1.2.len()) * 4 + self.epoch_losses.len() * 8,
         );
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&4u32.to_le_bytes());
+        out.put(FORMAT_VERSION);
+        out.put(4u32);
 
-        let mut meta = Vec::with_capacity(49);
-        meta.extend_from_slice(&self.fingerprint.to_le_bytes());
-        meta.extend_from_slice(&(self.next_epoch as u64).to_le_bytes());
-        meta.extend_from_slice(&(self.epochs_total as u64).to_le_bytes());
-        meta.extend_from_slice(&self.processed.to_le_bytes());
-        meta.extend_from_slice(&self.total_pairs.to_le_bytes());
+        let mut meta = Vec::with_capacity(40);
+        meta.put_all(&[
+            self.fingerprint,
+            self.next_epoch as u64,
+            self.epochs_total as u64,
+            self.processed,
+            self.total_pairs,
+        ]);
         push_section(&mut out, b"META", &meta);
 
         let mut loss = Vec::with_capacity(4 + self.epoch_losses.len() * 8);
-        loss.extend_from_slice(&(self.epoch_losses.len() as u32).to_le_bytes());
-        for &l in &self.epoch_losses {
-            loss.extend_from_slice(&l.to_le_bytes());
-        }
+        loss.put(self.epoch_losses.len() as u32);
+        loss.put_all(&self.epoch_losses);
         push_section(&mut out, b"LOSS", &loss);
 
         push_section(&mut out, b"SYN0", &matrix_payload(self.syn0.0, self.syn0.1, &self.syn0.2));
@@ -206,60 +210,40 @@ impl TrainCheckpoint {
     /// Parses a V2VC container, verifying every section checksum.
     pub fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
         let fail = |msg: String| Err(CheckpointError::Format(msg));
-        if bytes.len() < 12 {
-            return fail(format!("checkpoint too short ({} bytes)", bytes.len()));
-        }
-        if bytes[..4] != MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.array()? != MAGIC {
             return fail("bad magic (not a V2VC checkpoint)".into());
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+        let version = r.u32()?;
         if version != FORMAT_VERSION {
             return fail(format!("unsupported checkpoint version {version}"));
         }
-        let sections = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let sections = r.u32()?;
 
-        let mut meta = None;
-        let mut losses = None;
-        let mut syn0 = None;
-        let mut syn1 = None;
-        let mut at = 12usize;
+        let (mut meta, mut losses, mut syn0, mut syn1) = (None, None::<Vec<f64>>, None, None);
         for i in 0..sections {
-            let header_end = at
-                .checked_add(12)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| CheckpointError::Format(format!("section {i} header truncated")))?;
-            let tag: [u8; 4] = bytes[at..at + 4].try_into().unwrap();
-            let len = u64::from_le_bytes(bytes[at + 4..header_end].try_into().unwrap());
-            let len = usize::try_from(len)
-                .ok()
-                .filter(|&l| l <= bytes.len() - header_end)
-                .ok_or_else(|| CheckpointError::Format(format!("section {i} length truncated")))?;
-            let payload_end = header_end + len;
-            let checksum_end = payload_end
-                .checked_add(8)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| CheckpointError::Format(format!("section {i} checksum truncated")))?;
-            let stored = u64::from_le_bytes(bytes[payload_end..checksum_end].try_into().unwrap());
-            let computed = fnv1a64(FNV_OFFSET, &bytes[at..payload_end]);
-            if stored != computed {
-                return fail(format!(
-                    "section {} checksum mismatch (stored {stored:#018x}, computed {computed:#018x})",
-                    String::from_utf8_lossy(&tag)
-                ));
-            }
-            let payload = &bytes[header_end..payload_end];
-            match &tag {
-                b"META" => meta = Some(parse_meta(payload)?),
-                b"LOSS" => losses = Some(parse_losses(payload)?),
-                b"SYN0" => syn0 = Some(parse_matrix(payload, "SYN0")?),
-                b"SYN1" => syn1 = Some(parse_matrix(payload, "SYN1")?),
-                _ => {} // forward compatibility: checksummed unknown sections are skipped
-            }
-            at = checksum_end;
+            let start = r.pos();
+            skip_section(&mut r)
+                .map_err(|e| CheckpointError::Format(format!("section {i} {e}")))?;
+            let frame = &bytes[start..r.pos()];
+            let tag = String::from_utf8_lossy(&frame[..4]);
+            let body = unseal(frame)
+                .map_err(|e| CheckpointError::Format(format!("section {tag} {e}")))?;
+            let mut p = Reader::new(&body[12..]);
+            (|| -> Result<(), bytes::Error> {
+                match &*tag {
+                    "META" => meta = Some((p.u64()?, p.usize()?, p.usize()?, p.u64()?, p.u64()?)),
+                    "LOSS" => losses = Some(p.u32().and_then(|n| p.f64s(n as usize))?.collect()),
+                    "SYN0" => syn0 = Some(read_matrix(&mut p)?),
+                    "SYN1" => syn1 = Some(read_matrix(&mut p)?),
+                    // Forward compatibility: checksummed unknown sections are skipped.
+                    _ => return Ok(()),
+                }
+                p.finish()
+            })()
+            .map_err(|e| CheckpointError::Format(format!("{tag} section: {e}")))?;
         }
-        if at != bytes.len() {
-            return fail(format!("{} trailing bytes after last section", bytes.len() - at));
-        }
+        r.finish().map_err(|e| CheckpointError::Format(format!("{e} after last section")))?;
 
         let (fingerprint, next_epoch, epochs_total, processed, total_pairs) =
             meta.ok_or_else(|| CheckpointError::Format("missing META section".into()))?;
@@ -298,56 +282,17 @@ impl TrainCheckpoint {
     }
 }
 
-fn parse_meta(p: &[u8]) -> Result<(u64, usize, usize, u64, u64), CheckpointError> {
-    if p.len() != 40 {
-        return Err(CheckpointError::Format(format!("META section is {} bytes, expected 40", p.len())));
-    }
-    let u64_at = |i: usize| u64::from_le_bytes(p[i..i + 8].try_into().unwrap());
-    let idx = |i: usize, what: &str| {
-        usize::try_from(u64_at(i))
-            .map_err(|_| CheckpointError::Format(format!("{what} does not fit in usize")))
-    };
-    Ok((u64_at(0), idx(8, "next_epoch")?, idx(16, "epochs_total")?, u64_at(24), u64_at(32)))
+/// Steps over one section frame: tag, payload length, payload, checksum.
+fn skip_section(r: &mut Reader) -> Result<(), bytes::Error> {
+    let len = Reader::new(&r.take(12)?[4..]).usize()?;
+    r.take(len.checked_add(8).ok_or(bytes::Error::Overflow)?)?;
+    Ok(())
 }
 
-fn parse_losses(p: &[u8]) -> Result<Vec<f64>, CheckpointError> {
-    if p.len() < 4 {
-        return Err(CheckpointError::Format("LOSS section truncated".into()));
-    }
-    let count = u32::from_le_bytes(p[..4].try_into().unwrap()) as usize;
-    if p.len() != 4 + count * 8 {
-        return Err(CheckpointError::Format(format!(
-            "LOSS section is {} bytes for {count} losses",
-            p.len()
-        )));
-    }
-    Ok(p[4..]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
-fn parse_matrix(p: &[u8], tag: &str) -> Result<(usize, usize, Vec<f32>), CheckpointError> {
-    if p.len() < 12 {
-        return Err(CheckpointError::Format(format!("{tag} section truncated")));
-    }
-    let rows = u64::from_le_bytes(p[..8].try_into().unwrap());
-    let cols = u32::from_le_bytes(p[8..12].try_into().unwrap()) as usize;
-    let values = usize::try_from(rows)
-        .ok()
-        .and_then(|r| r.checked_mul(cols))
-        .ok_or_else(|| CheckpointError::Format(format!("{tag} shape {rows} x {cols} overflows")))?;
-    if p.len() != 12 + values * 4 {
-        return Err(CheckpointError::Format(format!(
-            "{tag} section is {} bytes for shape {rows} x {cols}",
-            p.len()
-        )));
-    }
-    let data = p[12..]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Ok((rows as usize, cols, data))
+fn read_matrix(r: &mut Reader) -> Result<(usize, usize, Vec<f32>), bytes::Error> {
+    let (rows, cols) = (r.usize()?, r.u32()? as usize);
+    let values = rows.checked_mul(cols).ok_or(bytes::Error::Overflow)?;
+    Ok((rows, cols, r.f32s(values)?.collect()))
 }
 
 #[cfg(test)]
@@ -371,6 +316,14 @@ mod tests {
     fn roundtrip_exact() {
         let c = sample();
         assert_eq!(TrainCheckpoint::from_bytes(&c.to_bytes()).unwrap(), c);
+    }
+
+    /// Captured before the codec moved into `v2v_base::bytes`: a V2VC file
+    /// written by any earlier build must keep resuming.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let bytes = sample().to_bytes();
+        assert_eq!((bytes.len(), fnv1a64(FNV_OFFSET, &bytes)), (256, 0x3c9d_d987_d791_a7cd));
     }
 
     #[test]

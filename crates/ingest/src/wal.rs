@@ -15,13 +15,14 @@
 //! [seq u64][src u64][dst u64][weight f32][timestamp u64][flags u8][fnv1a64 u64]
 //! ```
 //!
-//! The checksum covers the 37 record bytes before it, and the sequence
-//! number must equal `segment.first_seq + record_index`, so a scan can
-//! tell exactly where a crashed append stopped: the first record that
-//! fails either check is the torn tail, and [`Wal::open`] truncates the
-//! file back to the last valid record. Sealed segments are immutable and
-//! fully validated on open — corruption there is a disk fault, reported
-//! as [`WalError::Corrupt`] rather than silently dropped.
+//! Each record is a sealed `v2v_base::bytes` frame: the checksum covers the
+//! 37 record bytes before it. The sequence number must equal
+//! `segment.first_seq + record_index`, so a scan can tell exactly where a
+//! crashed append stopped: the first record that fails either check is the
+//! torn tail, and [`Wal::open`] truncates the file back to the last valid
+//! record. Sealed segments are immutable and fully validated on open —
+//! corruption there is a disk fault, reported as [`WalError::Corrupt`]
+//! rather than silently dropped.
 //!
 //! Rotation follows the manifest-last commit protocol used by the walk
 //! corpus shards: the active segment is fsync'd, *then* the manifest
@@ -31,9 +32,9 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use v2v_base::hash::{fnv1a64, FNV_OFFSET};
+use v2v_base::bytes::{self, seal, unseal, Put, Reader};
 use v2v_fault::inject::{self, Fault};
 
 /// Segment-file magic: "V2V Wal Log".
@@ -98,44 +99,35 @@ impl From<std::io::Error> for WalError {
     }
 }
 
+/// Appends one record's fixed 45-byte on-disk form to `out`.
+fn put_record(out: &mut Vec<u8>, rec: &WalRecord) {
+    let start = out.len();
+    out.put_all(&[rec.seq, rec.edge.src, rec.edge.dst]);
+    out.put(rec.edge.weight);
+    out.put(rec.edge.timestamp.unwrap_or(0));
+    out.put(u8::from(rec.edge.timestamp.is_some()));
+    seal(out, start);
+}
+
 /// Serializes one record into its fixed 45-byte on-disk form.
 pub fn encode_record(rec: &WalRecord) -> [u8; RECORD_BYTES] {
-    let mut out = [0u8; RECORD_BYTES];
-    out[0..8].copy_from_slice(&rec.seq.to_le_bytes());
-    out[8..16].copy_from_slice(&rec.edge.src.to_le_bytes());
-    out[16..24].copy_from_slice(&rec.edge.dst.to_le_bytes());
-    out[24..28].copy_from_slice(&rec.edge.weight.to_bits().to_le_bytes());
-    out[28..36].copy_from_slice(&rec.edge.timestamp.unwrap_or(0).to_le_bytes());
-    out[36] = u8::from(rec.edge.timestamp.is_some());
-    let sum = fnv1a64(FNV_OFFSET, &out[..37]);
-    out[37..45].copy_from_slice(&sum.to_le_bytes());
-    out
+    let mut out = Vec::with_capacity(RECORD_BYTES);
+    put_record(&mut out, rec);
+    out.try_into().expect("a record is RECORD_BYTES long")
 }
 
 /// Decodes one record, returning `None` on any checksum or flag-byte
 /// violation — the caller decides whether that means "torn tail" (active
 /// segment) or "corrupt" (sealed segment).
 pub fn decode_record(bytes: &[u8]) -> Option<WalRecord> {
-    if bytes.len() < RECORD_BYTES {
-        return None;
-    }
-    let stored = u64::from_le_bytes(bytes[37..45].try_into().unwrap());
-    if stored != fnv1a64(FNV_OFFSET, &bytes[..37]) {
-        return None;
-    }
-    let flags = bytes[36];
-    if flags > 1 {
-        return None;
-    }
-    let ts = u64::from_le_bytes(bytes[28..36].try_into().unwrap());
-    Some(WalRecord {
-        seq: u64::from_le_bytes(bytes[0..8].try_into().unwrap()),
-        edge: EdgeUpdate {
-            src: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
-            dst: u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
-            weight: f32::from_bits(u32::from_le_bytes(bytes[24..28].try_into().unwrap())),
-            timestamp: (flags == 1).then_some(ts),
-        },
+    let mut r = Reader::new(unseal(bytes.get(..RECORD_BYTES)?).ok()?);
+    let fields = |r: &mut Reader| -> Result<_, bytes::Error> {
+        Ok((r.u64()?, r.u64()?, r.u64()?, r.f32()?, r.u64()?, r.u8()?))
+    };
+    let (seq, src, dst, weight, ts, flags) = fields(&mut r).ok()?;
+    (flags <= 1).then(|| WalRecord {
+        seq,
+        edge: EdgeUpdate { src, dst, weight, timestamp: (flags == 1).then_some(ts) },
     })
 }
 
@@ -350,8 +342,8 @@ impl Wal {
 
         let first = self.next_seq;
         let mut buf = Vec::with_capacity(edges.len() * RECORD_BYTES);
-        for (i, &edge) in edges.iter().enumerate() {
-            buf.extend_from_slice(&encode_record(&WalRecord { seq: first + i as u64, edge }));
+        for (seq, &edge) in (first..).zip(edges) {
+            put_record(&mut buf, &WalRecord { seq, edge });
         }
 
         let result = (|| -> std::io::Result<()> {
@@ -449,11 +441,17 @@ fn injected_write(file: &mut File, buf: &[u8], point: &str) -> std::io::Result<(
     }
 }
 
+/// The 16-byte header a segment starting at `first_seq` begins with.
+fn segment_header(first_seq: u64) -> Vec<u8> {
+    let mut header = SEGMENT_MAGIC.to_vec();
+    header.put(SEGMENT_VERSION);
+    header.put(first_seq);
+    header
+}
+
 fn create_segment(path: &Path, first_seq: u64) -> Result<(), WalError> {
     let mut f = File::create(path)?;
-    f.write_all(&SEGMENT_MAGIC)?;
-    f.write_all(&SEGMENT_VERSION.to_le_bytes())?;
-    f.write_all(&first_seq.to_le_bytes())?;
+    f.write_all(&segment_header(first_seq))?;
     f.sync_data()?;
     sync_dir(path.parent().unwrap_or(Path::new(".")));
     Ok(())
@@ -475,31 +473,16 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 /// active segment) the scan stops at the first invalid record — that is
 /// the torn tail the caller truncates.
 fn scan_segment(path: &Path, first_seq: u64, strict: bool) -> Result<(u64, u64), WalError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
+    let bytes = std::fs::read(path)
         .map_err(|e| WalError::Io(std::io::Error::other(format!("{}: {e}", path.display()))))?;
-    if bytes.len() < HEADER_BYTES as usize
-        || bytes[..4] != SEGMENT_MAGIC
-        || u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != SEGMENT_VERSION
-        || u64::from_le_bytes(bytes[8..16].try_into().unwrap()) != first_seq
-    {
+    if !bytes.starts_with(&segment_header(first_seq)) {
         return Err(WalError::Corrupt(format!(
             "segment {} has a bad header (expected V2WL v{SEGMENT_VERSION} first_seq {first_seq})",
             path.display()
         )));
     }
-    let mut records = 0u64;
-    let mut pos = HEADER_BYTES as usize;
-    while pos + RECORD_BYTES <= bytes.len() {
-        match decode_record(&bytes[pos..pos + RECORD_BYTES]) {
-            Some(rec) if rec.seq == first_seq + records => {
-                records += 1;
-                pos += RECORD_BYTES;
-            }
-            _ => break,
-        }
-    }
+    let records = valid_records(&bytes, first_seq).count() as u64;
+    let pos = HEADER_BYTES as usize + records as usize * RECORD_BYTES;
     if strict && pos != bytes.len() {
         return Err(WalError::Corrupt(format!(
             "sealed segment {} has {} invalid bytes after record {records}",
@@ -510,29 +493,28 @@ fn scan_segment(path: &Path, first_seq: u64, strict: bool) -> Result<(u64, u64),
     Ok((records, pos as u64))
 }
 
+/// The records after a segment's header that decode and carry the next
+/// sequence number, in order, up to the first that does not.
+fn valid_records(bytes: &[u8], first_seq: u64) -> impl Iterator<Item = WalRecord> + '_ {
+    bytes
+        .get(HEADER_BYTES as usize..)
+        .unwrap_or_default()
+        .chunks_exact(RECORD_BYTES)
+        .zip(first_seq..)
+        .map_while(|(raw, seq)| decode_record(raw).filter(|rec| rec.seq == seq))
+}
+
 fn replay_segment(
     path: &Path,
     first_seq: u64,
     from_seq: u64,
     f: &mut dyn FnMut(&WalRecord),
 ) -> Result<u64, WalError> {
-    let mut bytes = Vec::new();
-    File::open(path).and_then(|mut file| file.read_to_end(&mut bytes))?;
+    let bytes = std::fs::read(path)?;
     let mut replayed = 0u64;
-    let mut expected = first_seq;
-    let mut pos = HEADER_BYTES as usize;
-    while pos + RECORD_BYTES <= bytes.len() {
-        match decode_record(&bytes[pos..pos + RECORD_BYTES]) {
-            Some(rec) if rec.seq == expected => {
-                if rec.seq >= from_seq {
-                    f(&rec);
-                    replayed += 1;
-                }
-                expected += 1;
-                pos += RECORD_BYTES;
-            }
-            _ => break,
-        }
+    for rec in valid_records(&bytes, first_seq).filter(|rec| rec.seq >= from_seq) {
+        f(&rec);
+        replayed += 1;
     }
     Ok(replayed)
 }
@@ -587,6 +569,7 @@ fn write_manifest(dir: &Path, sealed: &[Segment]) -> Result<(), WalError> {
 mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard};
+    use v2v_base::hash::{fnv1a64, FNV_OFFSET};
     use v2v_fault::FaultPlan;
 
     /// Fault points are process-global: an armed `ingest.wal.append` fails
@@ -667,6 +650,26 @@ mod tests {
         let wal = Wal::open_with(&dir, opts).unwrap();
         assert_eq!(wal.next_seq(), 19);
         assert_eq!(wal.read_all().unwrap(), all);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Captured before the codec moved into `v2v_base::bytes`: two batches
+    /// and one rotation leave a sealed and an active segment whose bytes
+    /// any earlier build's log must keep replaying to.
+    #[test]
+    fn segment_bytes_are_pinned() {
+        let _serial = serial();
+        let dir = scratch("pin");
+        let mut wal = Wal::open_with(&dir, WalOptions { segment_bytes: 2 * RECORD_BYTES as u64 })
+            .unwrap();
+        wal.append_batch(&edges(3, 0)).unwrap();
+        wal.append_batch(&edges(4, 20)).unwrap();
+        assert_eq!(wal.num_segments(), 2);
+        let pins = [(1, (151, 0xb3ad_b1a9_ff88_a596)), (4, (196, 0xabf9_cec9_0270_5283))];
+        for (first_seq, want) in pins {
+            let bytes = std::fs::read(dir.join(segment_name(first_seq))).unwrap();
+            assert_eq!((bytes.len(), fnv1a64(FNV_OFFSET, &bytes)), want, "segment {first_seq}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

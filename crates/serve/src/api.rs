@@ -1181,7 +1181,7 @@ mod tests {
     /// and the index is rebuilt — the store still serves.
     #[test]
     fn sharded_v2_snapshot_is_refused_and_rebuilt() {
-        use v2v_base::hash::{fnv1a64, FNV_OFFSET};
+        use v2v_base::bytes::{seal, Put};
         let dir = std::env::temp_dir().join(format!("v2v_api_v2snap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sharded.v2s");
@@ -1192,15 +1192,11 @@ mod tests {
 
         // The version-2 header as those builds wrote it (two shards, child
         // blobs left out), checksummed so the reader gets to the version.
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&crate::hnsw::SNAPSHOT_MAGIC);
-        blob.extend_from_slice(&2u32.to_le_bytes());
-        blob.extend_from_slice(&0u64.to_le_bytes()); // build fingerprint, never reached
-        blob.extend_from_slice(&fp.to_le_bytes());
-        blob.extend_from_slice(&(n as u64).to_le_bytes());
-        blob.extend_from_slice(&2u32.to_le_bytes());
-        let sum = fnv1a64(FNV_OFFSET, &blob);
-        blob.extend_from_slice(&sum.to_le_bytes());
+        let mut blob = crate::hnsw::SNAPSHOT_MAGIC.to_vec();
+        blob.put(2u32);
+        blob.put_all(&[0, fp, n as u64]); // the build fingerprint is never reached
+        blob.put(2u32);
+        seal(&mut blob, 0);
 
         let err =
             HnswIndex::from_snapshot(&blob, dims, data.clone(), HnswConfig::default(), fp)

@@ -54,6 +54,7 @@ use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
+use v2v_base::bytes::{seal, unseal, Put, Reader};
 use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 use v2v_base::par;
 use v2v_base::rng::Rng;
@@ -879,37 +880,6 @@ pub fn build_fingerprint(config: &HnswConfig, dims: usize) -> u64 {
     h
 }
 
-/// Little-endian cursor over snapshot bytes with typed truncation errors.
-struct SnapReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("snapshot truncated at byte {}", self.pos))?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 impl HnswIndex {
     /// Serializes the graph topology (not the vectors) into a
     /// self-checksummed byte section, stamped with the build fingerprint
@@ -918,28 +888,23 @@ impl HnswIndex {
     pub fn snapshot(&self, embedding_fingerprint: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.links.iter().flatten().flatten().count() * 4);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&build_fingerprint(&self.config, self.dims).to_le_bytes());
-        out.extend_from_slice(&embedding_fingerprint.to_le_bytes());
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        out.push(u8::from(self.is_graph()));
+        out.put(SNAPSHOT_VERSION);
+        out.put_all(&[
+            build_fingerprint(&self.config, self.dims),
+            embedding_fingerprint,
+            self.len() as u64,
+        ]);
+        out.put(u8::from(self.is_graph()));
         if self.is_graph() {
-            out.extend_from_slice(&(self.entry as u64).to_le_bytes());
-            out.extend_from_slice(&(self.max_level as u32).to_le_bytes());
-            for &l in &self.levels {
-                out.extend_from_slice(&(l as u32).to_le_bytes());
-            }
-            for layers in &self.links {
-                for nbrs in layers {
-                    out.extend_from_slice(&(nbrs.len() as u32).to_le_bytes());
-                    for &nb in nbrs {
-                        out.extend_from_slice(&nb.to_le_bytes());
-                    }
-                }
+            out.put(self.entry as u64);
+            out.put(self.max_level as u32);
+            self.levels.iter().for_each(|&l| out.put(l as u32));
+            for nbrs in self.links.iter().flatten() {
+                out.put(nbrs.len() as u32);
+                out.put_all(nbrs);
             }
         }
-        let sum = fnv1a64(FNV_OFFSET, &out);
-        out.extend_from_slice(&sum.to_le_bytes());
+        seal(&mut out, 0);
         out
     }
 
@@ -960,21 +925,11 @@ impl HnswIndex {
         embedding_fingerprint: u64,
     ) -> Result<HnswIndex, String> {
         let start = Instant::now();
-        if bytes.len() < 4 + 4 + 8 + 8 + 8 + 1 + 8 {
-            return Err(format!("snapshot too short ({} bytes)", bytes.len()));
-        }
-        if bytes[..4] != SNAPSHOT_MAGIC {
+        if bytes.get(..4) != Some(&SNAPSHOT_MAGIC[..]) {
             return Err("bad snapshot magic (not a V2VH section)".into());
         }
-        let body = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        let computed = fnv1a64(FNV_OFFSET, body);
-        if stored != computed {
-            return Err(format!(
-                "snapshot checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
-            ));
-        }
-        let mut r = SnapReader { bytes: body, pos: 4 };
+        let mut r = Reader::new(unseal(bytes).map_err(|e| format!("snapshot {e}"))?);
+        r.take(4)?; // the magic, checked above
         let version = r.u32()?;
         if version != SNAPSHOT_VERSION {
             return Err(format!(
@@ -996,8 +951,8 @@ impl HnswIndex {
                  the store being served ({embedding_fingerprint:#018x})"
             ));
         }
-        let n = r.u64()? as usize;
-        if dims == 0 || vectors.len() != n * dims {
+        let n = r.usize()?;
+        if dims == 0 || n.checked_mul(dims) != Some(vectors.len()) {
             return Err(format!(
                 "snapshot covers {n} vectors x {dims} dims but {} values were supplied",
                 vectors.len()
@@ -1021,12 +976,9 @@ impl HnswIndex {
             build_time: Duration::ZERO,
         };
         if has_graph {
-            index.entry = r.u64()? as usize;
+            index.entry = r.usize()?;
             index.max_level = r.u32()? as usize;
-            let mut levels = Vec::with_capacity(n);
-            for _ in 0..n {
-                levels.push(r.u32()? as usize);
-            }
+            let levels: Vec<usize> = r.u32s(n)?.map(|l| l as usize).collect();
             let mut links = Vec::with_capacity(n);
             for &level in &levels {
                 if level > 64 {
@@ -1038,25 +990,17 @@ impl HnswIndex {
                     if len > n {
                         return Err(format!("snapshot link list of {len} exceeds {n} vertices"));
                     }
-                    let raw = r.take(len * 4)?;
-                    layers.push(
-                        raw.chunks_exact(4)
-                            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                            .collect::<Vec<u32>>(),
-                    );
+                    layers.push(r.u32s(len)?.collect::<Vec<u32>>());
                 }
                 links.push(layers);
             }
             index.levels = levels;
             index.links = links;
         }
-        if r.pos != body.len() {
-            return Err(format!("{} trailing bytes inside snapshot body", body.len() - r.pos));
-        }
+        r.finish().map_err(|e| format!("{e} inside snapshot body"))?;
         index.build_time = start.elapsed();
         Ok(index)
     }
-
 }
 
 /// Scales to unit L2 norm in place; zero (and non-finite-norm) vectors are

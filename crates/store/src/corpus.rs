@@ -25,11 +25,11 @@
 //! corpus, while resident memory stays at ~2 shards per worker.
 
 use crate::error::StoreError;
-use v2v_base::hash::{fnv1a64, FNV_OFFSET};
-use std::io::Read;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::sync_channel;
+use v2v_base::bytes::{self, seal, unseal, Put, Reader};
+use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 use v2v_graph::VertexId;
 use v2v_walks::WalkSource;
 
@@ -114,10 +114,8 @@ impl CorpusShardWriter {
             }
             self.counts[i] += 1;
         }
-        self.buf.extend_from_slice(&(walk.len() as u32).to_le_bytes());
-        for v in walk {
-            self.buf.extend_from_slice(&v.0.to_le_bytes());
-        }
+        self.buf.put(walk.len() as u32);
+        walk.iter().for_each(|v| self.buf.put(v.0));
         self.buf_walks += 1;
         self.buf_tokens += walk.len();
         if self.buf.len() >= self.target_bytes {
@@ -131,11 +129,13 @@ impl CorpusShardWriter {
             return Ok(());
         }
         let file = format!("shard-{:05}.v2ws", self.shards.len());
-        let mut header = [0u8; SHARD_HEADER];
-        header[0..4].copy_from_slice(&SHARD_MAGIC);
-        header[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header[8..16].copy_from_slice(&(self.buf_walks as u64).to_le_bytes());
-        header[16..24].copy_from_slice(&(self.buf_tokens as u64).to_le_bytes());
+        let mut header = Vec::with_capacity(SHARD_HEADER);
+        header.extend_from_slice(&SHARD_MAGIC);
+        header.put(FORMAT_VERSION);
+        header.put(self.buf_walks as u64);
+        header.put(self.buf_tokens as u64);
+        // The frame `bytes::seal` would close, chained so the shard is
+        // never copied behind its header.
         let checksum = fnv1a64(fnv1a64(FNV_OFFSET, &header), &self.buf);
         let buf = &self.buf;
         v2v_fault::write_atomic_with(self.dir.join(&file), |w| {
@@ -164,18 +164,13 @@ impl CorpusShardWriter {
     pub fn finish(mut self) -> Result<(usize, usize), StoreError> {
         self.flush_shard()?;
         // counts.v2wc
-        let mut head = Vec::with_capacity(16 + self.counts.len() * 8);
-        head.extend_from_slice(&COUNTS_MAGIC);
-        head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        head.extend_from_slice(&(self.num_vertices as u64).to_le_bytes());
-        for &c in &self.counts {
-            head.extend_from_slice(&c.to_le_bytes());
-        }
-        let csum = fnv1a64(FNV_OFFSET, &head);
-        v2v_fault::write_atomic_with(self.dir.join("counts.v2wc"), |w| {
-            w.write_all(&head)?;
-            w.write_all(&csum.to_le_bytes())
-        })?;
+        let mut counts = Vec::with_capacity(24 + self.counts.len() * 8);
+        counts.extend_from_slice(&COUNTS_MAGIC);
+        counts.put(FORMAT_VERSION);
+        counts.put(self.num_vertices as u64);
+        counts.put_all(&self.counts);
+        seal(&mut counts, 0);
+        v2v_fault::write_atomic(self.dir.join("counts.v2wc"), &counts)?;
 
         let mut json = String::from("{\n");
         json.push_str(&format!("  \"format\": \"v2ws\",\n  \"version\": {FORMAT_VERSION},\n"));
@@ -330,70 +325,43 @@ impl ShardedCorpus {
 
     fn load_shard(&self, s: usize) -> Result<LoadedShard, StoreError> {
         let meta = &self.shards[s];
-        let path = self.dir.join(&meta.file);
-        let mut bytes = Vec::new();
-        std::fs::File::open(&path)
-            .map_err(|e| StoreError::Format(format!("cannot open shard {}: {e}", meta.file)))?
-            .read_to_end(&mut bytes)?;
-        if bytes.len() < SHARD_HEADER + 8 {
-            return Err(StoreError::Corrupt(format!("shard {} is truncated", meta.file)));
+        let bytes = std::fs::read(self.dir.join(&meta.file))
+            .map_err(|e| StoreError::Format(format!("cannot open shard {}: {e}", meta.file)))?;
+        let corrupt = |what: String| StoreError::Corrupt(format!("shard {} {what}", meta.file));
+        let bad = |e: bytes::Error| corrupt(e.to_string());
+        let body = unseal(&bytes).map_err(bad)?;
+        if !bytes.ends_with(&meta.checksum.to_le_bytes()) {
+            return Err(corrupt(format!("checksum disagrees with manifest {:016x}", meta.checksum)));
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let actual = fnv1a64(FNV_OFFSET, body);
-        let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-        if actual != stored || actual != meta.checksum {
-            return Err(StoreError::Corrupt(format!(
-                "shard {} checksum mismatch (content {actual:016x}, trailer {stored:016x}, manifest {:016x})",
-                meta.file, meta.checksum
-            )));
-        }
-        if body[0..4] != SHARD_MAGIC
-            || u32::from_le_bytes(body[4..8].try_into().unwrap()) != FORMAT_VERSION
-        {
+        let mut r = Reader::new(body);
+        if r.array() != Ok(SHARD_MAGIC) || r.u32() != Ok(FORMAT_VERSION) {
             return Err(StoreError::Format(format!("shard {} has a bad header", meta.file)));
         }
-        let walks = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
-        let tokens = u64::from_le_bytes(body[16..24].try_into().unwrap()) as usize;
+        let (walks, tokens) = (r.usize().map_err(bad)?, r.usize().map_err(bad)?);
         if walks != meta.walks || tokens != meta.tokens {
-            return Err(StoreError::Corrupt(format!(
-                "shard {} shape disagrees with manifest",
-                meta.file
-            )));
+            return Err(corrupt("shape disagrees with manifest".into()));
+        }
+        // A length word per walk plus one word per token: the payload size
+        // is known before anything is allocated for it.
+        if walks.checked_add(tokens).and_then(|n| n.checked_mul(4)) != Some(body.len() - r.pos()) {
+            return Err(corrupt("has trailing or missing payload bytes".into()));
         }
         let mut out = LoadedShard {
             tokens: Vec::with_capacity(tokens),
             offsets: Vec::with_capacity(walks + 1),
         };
         out.offsets.push(0);
-        let mut p = SHARD_HEADER;
         for _ in 0..walks {
-            if p + 4 > body.len() {
-                return Err(StoreError::Corrupt(format!("shard {} payload overruns", meta.file)));
-            }
-            let len = u32::from_le_bytes(body[p..p + 4].try_into().unwrap()) as usize;
-            p += 4;
-            if p + len * 4 > body.len() {
-                return Err(StoreError::Corrupt(format!("shard {} payload overruns", meta.file)));
-            }
-            for c in body[p..p + len * 4].chunks_exact(4) {
-                let id = u32::from_le_bytes(c.try_into().unwrap());
+            let len = r.u32().map_err(bad)? as usize;
+            for id in r.u32s(len).map_err(bad)? {
                 if (id as usize) >= self.num_vertices {
-                    return Err(StoreError::Corrupt(format!(
-                        "shard {} token {id} out of vocabulary range",
-                        meta.file
-                    )));
+                    return Err(corrupt(format!("token {id} out of vocabulary range")));
                 }
                 out.tokens.push(VertexId(id));
             }
-            p += len * 4;
             out.offsets.push(out.tokens.len());
         }
-        if p != body.len() || out.tokens.len() != tokens {
-            return Err(StoreError::Corrupt(format!(
-                "shard {} has trailing or missing payload bytes",
-                meta.file
-            )));
-        }
+        r.finish().map_err(bad)?;
         v2v_obs::global_metrics().counter("corpus.shards_loaded").add(1);
         Ok(out)
     }
@@ -402,23 +370,15 @@ impl ShardedCorpus {
 fn read_counts(path: &Path) -> Result<Vec<u64>, StoreError> {
     let bytes = std::fs::read(path)
         .map_err(|e| StoreError::Format(format!("cannot read {}: {e}", path.display())))?;
-    if bytes.len() < 24 {
-        return Err(StoreError::Corrupt("token-count sidecar is truncated".into()));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    if fnv1a64(FNV_OFFSET, body) != u64::from_le_bytes(trailer.try_into().unwrap()) {
-        return Err(StoreError::Corrupt("token-count sidecar checksum mismatch".into()));
-    }
-    if body[0..4] != COUNTS_MAGIC
-        || u32::from_le_bytes(body[4..8].try_into().unwrap()) != FORMAT_VERSION
-    {
+    let bad = |e: bytes::Error| StoreError::Corrupt(format!("token-count sidecar {e}"));
+    let mut r = Reader::new(unseal(&bytes).map_err(bad)?);
+    if r.array() != Ok(COUNTS_MAGIC) || r.u32() != Ok(FORMAT_VERSION) {
         return Err(StoreError::Format("token-count sidecar has a bad header".into()));
     }
-    let n = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
-    if body.len() != 16 + n * 8 {
-        return Err(StoreError::Corrupt("token-count sidecar length disagrees with header".into()));
-    }
-    Ok(body[16..].chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
+    let n = r.usize().map_err(bad)?;
+    let counts = r.u64s(n).map_err(bad)?.collect();
+    r.finish().map_err(bad)?;
+    Ok(counts)
 }
 
 impl WalkSource for ShardedCorpus {
@@ -543,6 +503,24 @@ mod tests {
             c.verify().unwrap();
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// Captured before the codec moved into `v2v_base::bytes`: a corpus
+    /// directory written by any earlier build must keep training.
+    #[test]
+    fn corpus_bytes_are_pinned() {
+        let dir = scratch("pin");
+        write_corpus(&dir, &fake_walks(120, 13), 13, 256);
+        let pins = [
+            ("shard-00000.v2ws", (292, 0x320e_9303_f5cb_f0ba)),
+            ("counts.v2wc", (128, 0xc113_85d9_093f_1095)),
+            ("manifest.json", (899, 0x7975_d722_6621_2743)),
+        ];
+        for (file, want) in pins {
+            let bytes = std::fs::read(dir.join(file)).unwrap();
+            assert_eq!((bytes.len(), fnv1a64(FNV_OFFSET, &bytes)), want, "{file}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

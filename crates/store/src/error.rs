@@ -41,3 +41,10 @@ impl From<std::io::Error> for StoreError {
         StoreError::Io(e)
     }
 }
+
+/// A record that does not decode is altered or truncated content.
+impl From<v2v_base::bytes::Error> for StoreError {
+    fn from(e: v2v_base::bytes::Error) -> Self {
+        StoreError::Corrupt(e.to_string())
+    }
+}

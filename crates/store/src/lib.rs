@@ -7,7 +7,7 @@
 //!   shard-checksummed embedding file that `v2v serve` opens via `mmap`
 //!   (cold start = map + one header check; shard checksums verify lazily
 //!   on first touch) with an automatic heap-loading fallback
-//!   (`V2V_NO_MMAP=1`, non-unix, big-endian, or a failed map). The file
+//!   (non-unix, big-endian, or a failed map). The file
 //!   can carry an opaque, self-checksummed index section — the persisted
 //!   HNSW snapshot that `v2v serve` loads instead of rebuilding.
 //! * [`corpus`] — **sharded on-disk walk corpora**: `v2v walks` streams

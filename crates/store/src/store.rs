@@ -34,18 +34,21 @@
 //! (`shard_rows` rows each): a mapped reader verifies a shard's checksum
 //! the first time any row in it is touched ([`EmbeddingStore::vector`]),
 //! so cold start validates one page-sized header, not gigabytes. The heap
-//! fallback (non-unix, big-endian, `V2V_NO_MMAP=1`, or a failed map)
-//! reads the file once, verifying every shard as it streams.
+//! fallback (non-unix, big-endian, or a failed map) reads the file once,
+//! verifying every shard as it streams.
 //!
 //! `fingerprint` — FNV over `(dims, count, shard checksums…)` — names the
 //! payload's exact contents; the HNSW snapshot embeds it so a stale index
 //! can be refused without touching the vectors.
 //!
-//! All writes go through `v2v-fault`'s atomic tmp+fsync+rename layer.
+//! Fields are encoded by `v2v_base::bytes`; the header's first 72 bytes
+//! are a sealed frame. All writes go through `v2v-fault`'s atomic
+//! tmp+fsync+rename layer.
 
 use crate::error::StoreError;
-use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 use crate::mmap::Mmap;
+use v2v_base::bytes::{seal, unseal, Put, Reader};
+use v2v_base::hash::{fnv1a64, FNV_OFFSET};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -116,7 +119,8 @@ pub fn write_store(
     let mut shard_sums = Vec::with_capacity(num_shards);
     let mut buf: Vec<u8> = Vec::new();
     for shard in data.chunks(shard_rows * dims) {
-        encode_f32_le(shard, &mut buf);
+        buf.clear();
+        buf.put_all(shard);
         shard_sums.push(fnv1a64(FNV_OFFSET, &buf));
     }
     let fingerprint = payload_fingerprint(dims, count, &shard_sums);
@@ -129,49 +133,43 @@ pub fn write_store(
         None => (0, 0),
     };
 
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
-    header[8..12].copy_from_slice(&(dims as u32).to_le_bytes());
-    // bytes 12..16 reserved, zero
-    header[16..24].copy_from_slice(&(count as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&(shard_rows as u64).to_le_bytes());
-    header[32..40].copy_from_slice(&(PAGE as u64).to_le_bytes());
-    header[40..48].copy_from_slice(&(shard_table_off as u64).to_le_bytes());
-    header[48..56].copy_from_slice(&(index_off as u64).to_le_bytes());
-    header[56..64].copy_from_slice(&(index_len as u64).to_le_bytes());
-    header[64..72].copy_from_slice(&fingerprint.to_le_bytes());
-    let hsum = fnv1a64(FNV_OFFSET, &header[..HEADER_HASHED]);
-    header[72..80].copy_from_slice(&hsum.to_le_bytes());
+    let mut header = Vec::with_capacity(PAGE);
+    header.extend_from_slice(&MAGIC);
+    header.put(VERSION);
+    header.put(dims as u32);
+    header.put(0u32); // reserved
+    header.put_all(&[
+        count as u64,
+        shard_rows as u64,
+        PAGE as u64,
+        shard_table_off as u64,
+        index_off as u64,
+        index_len as u64,
+        fingerprint,
+    ]);
+    seal(&mut header, 0);
+    header.resize(PAGE, 0);
 
     v2v_fault::write_atomic_with(path, |w| {
         w.write_all(&header)?;
-        w.write_all(&[0u8; PAGE - HEADER_LEN])?;
         // Pass 2: re-encode and land the payload shard by shard, so peak
         // scratch is one shard, not the file.
         for shard in data.chunks(shard_rows * dims) {
-            encode_f32_le(shard, &mut buf);
+            buf.clear();
+            buf.put_all(shard);
             w.write_all(&buf)?;
         }
         let pad = align8(payload_len) - payload_len;
         w.write_all(&[0u8; 7][..pad])?;
-        for &s in &shard_sums {
-            w.write_all(&s.to_le_bytes())?;
-        }
+        buf.clear();
+        buf.put_all(&shard_sums);
+        w.write_all(&buf)?;
         if let Some(ix) = index {
             w.write_all(ix)?;
         }
         Ok(())
     })?;
     Ok(fingerprint)
-}
-
-fn encode_f32_le(values: &[f32], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(values.len() * 4);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
 }
 
 /// Validated header fields, offsets already range-checked against the
@@ -189,41 +187,38 @@ struct Header {
 }
 
 fn parse_header(bytes: &[u8; HEADER_LEN], file_len: u64) -> Result<Header, StoreError> {
-    if bytes[0..4] != MAGIC {
+    let mut r = Reader::new(&bytes[..HEADER_HASHED]);
+    if r.array()? != MAGIC {
         return Err(StoreError::Format("bad magic: not a V2VE store".into()));
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let version = r.u32()?;
     if version != VERSION {
         return Err(StoreError::Format(format!(
             "unsupported V2VE version {version} (this reader handles v{VERSION})"
         )));
     }
-    let actual = u64::from_le_bytes(bytes[72..80].try_into().unwrap());
-    let expected = fnv1a64(FNV_OFFSET, &bytes[..HEADER_HASHED]);
-    if actual != expected {
-        return Err(StoreError::Corrupt("header checksum mismatch".into()));
-    }
-    let dims = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let count = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let shard_rows = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    let payload_off = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
-    let shard_table_off = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
-    let index_off = u64::from_le_bytes(bytes[48..56].try_into().unwrap());
-    let index_len = u64::from_le_bytes(bytes[56..64].try_into().unwrap());
-    let fingerprint = u64::from_le_bytes(bytes[64..72].try_into().unwrap());
+    unseal(bytes).map_err(|_| StoreError::Corrupt("header checksum mismatch".into()))?;
+    let dims = r.u32()? as usize;
+    r.u32()?; // reserved
+    let (count, shard_rows) = (r.usize()?, r.usize()?);
+    let (payload_off, shard_table_off) = (r.u64()?, r.u64()?);
+    let (index_off, index_len, fingerprint) = (r.u64()?, r.usize()?, r.u64()?);
+    r.finish()?;
 
     if dims == 0 || shard_rows == 0 {
         return Err(StoreError::Format("dims and shard_rows must be > 0".into()));
     }
-    if count > u32::MAX as u64 {
+    if count > u32::MAX as usize {
         return Err(StoreError::Format("row count exceeds the u32 vertex space".into()));
     }
-    let count = count as usize;
-    let shard_rows = shard_rows as usize;
+    // Bounded by the file, so the offsets below cannot overflow.
     let payload_len = count
         .checked_mul(dims)
         .and_then(|n| n.checked_mul(4))
-        .ok_or_else(|| StoreError::Format("payload size overflows".into()))?;
+        .filter(|&n| n as u64 <= file_len)
+        .ok_or_else(|| {
+            StoreError::Corrupt(format!("file length {file_len} cannot hold {count} x {dims} rows"))
+        })?;
     let num_shards = count.div_ceil(shard_rows);
     if payload_off != PAGE as u64 {
         return Err(StoreError::Format(format!("payload offset {payload_off} != {PAGE}")));
@@ -242,11 +237,10 @@ fn parse_header(bytes: &[u8; HEADER_LEN], file_len: u64) -> Result<Header, Store
         if index_off != table_end as u64 {
             return Err(StoreError::Format("index offset disagrees with shape".into()));
         }
-        let len = usize::try_from(index_len)
-            .ok()
-            .and_then(|l| table_end.checked_add(l).map(|_| l))
+        let end = table_end
+            .checked_add(index_len)
             .ok_or_else(|| StoreError::Format("index section size overflows".into()))?;
-        (Some((table_end, len)), table_end + len)
+        (Some((table_end, index_len)), end)
     };
     if file_len != expect_len as u64 {
         return Err(StoreError::Corrupt(format!(
@@ -299,8 +293,8 @@ impl std::fmt::Debug for EmbeddingStore {
 
 impl EmbeddingStore {
     /// Opens a store, preferring `mmap` and falling back to a heap load
-    /// when mapping is unavailable (non-unix, big-endian, `V2V_NO_MMAP=1`,
-    /// or the map call itself fails).
+    /// when mapping is unavailable (non-unix, big-endian, or the map call
+    /// itself fails; the `store.mmap` fault point forces it in tests).
     ///
     /// The mapped path validates the header and shard table only — O(1)
     /// in the payload size; row data is checksummed lazily per shard on
@@ -320,11 +314,10 @@ impl EmbeddingStore {
         file.read_exact(&mut head)?;
         let header = parse_header(&head, file_len)?;
 
-        let no_mmap = std::env::var("V2V_NO_MMAP").is_ok_and(|v| v == "1")
-            || v2v_fault::inject::check("store.mmap").is_some();
+        let no_mmap = v2v_fault::inject::check("store.mmap").is_some();
         let store = if Mmap::supported() && !no_mmap {
             match Mmap::map(&file, header.file_len) {
-                Ok(map) => Self::from_map(header, map),
+                Ok(map) => Self::from_map(header, map)?,
                 Err(e) => {
                     v2v_obs::obs_info!("mmap failed ({e}); falling back to heap load");
                     Self::from_stream(header, &mut file)?
@@ -349,15 +342,11 @@ impl EmbeddingStore {
         Ok(store)
     }
 
-    fn from_map(header: Header, map: Mmap) -> EmbeddingStore {
-        let bytes = map.bytes();
-        let table = &bytes[header.shard_table_off..header.shard_table_off + header.num_shards * 8];
-        let shard_sums: Vec<u64> = table
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+    fn from_map(header: Header, map: Mmap) -> Result<EmbeddingStore, StoreError> {
+        let shard_sums: Vec<u64> =
+            Reader::new(&map.bytes()[header.shard_table_off..]).u64s(header.num_shards)?.collect();
         let verified = (0..header.num_shards).map(|_| AtomicBool::new(false)).collect();
-        EmbeddingStore {
+        Ok(EmbeddingStore {
             dims: header.dims,
             count: header.count,
             shard_rows: header.shard_rows,
@@ -365,7 +354,7 @@ impl EmbeddingStore {
             shard_sums,
             verified,
             backing: Backing::Mapped { map, index: header.index },
-        }
+        })
     }
 
     /// Heap fallback: streams the payload shard by shard (peak scratch =
@@ -383,15 +372,14 @@ impl EmbeddingStore {
             let chunk = &mut buf[..take];
             file.read_exact(chunk)?;
             shard_sums.push(fnv1a64(FNV_OFFSET, chunk));
-            payload.extend(chunk.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())));
+            payload.extend(Reader::new(chunk).f32s(take / 4)?);
             remaining -= take;
         }
         // Skip alignment padding, then check the shard table.
         file.seek(SeekFrom::Start(header.shard_table_off as u64))?;
         let mut table = vec![0u8; header.num_shards * 8];
         file.read_exact(&mut table)?;
-        for (i, c) in table.chunks_exact(8).enumerate() {
-            let expected = u64::from_le_bytes(c.try_into().unwrap());
+        for (i, expected) in Reader::new(&table).u64s(header.num_shards)?.enumerate() {
             if shard_sums[i] != expected {
                 return Err(StoreError::Corrupt(format!(
                     "shard {i} checksum mismatch: payload {:016x} != table {expected:016x}",
@@ -402,14 +390,10 @@ impl EmbeddingStore {
         if payload_fingerprint(header.dims, header.count, &shard_sums) != header.fingerprint {
             return Err(StoreError::Corrupt("fingerprint disagrees with shard table".into()));
         }
-        let index = match header.index {
-            None => None,
-            Some((_, len)) => {
-                let mut ix = vec![0u8; len];
-                file.read_exact(&mut ix)?;
-                Some(ix)
-            }
-        };
+        let mut index = header.index.map(|(_, len)| vec![0u8; len]);
+        if let Some(ix) = &mut index {
+            file.read_exact(ix)?;
+        }
         let verified = (0..header.num_shards).map(|_| AtomicBool::new(true)).collect();
         Ok(EmbeddingStore {
             dims: header.dims,
@@ -422,13 +406,13 @@ impl EmbeddingStore {
         })
     }
 
-    /// Embedding dimensionality.
     /// Rows per checksum shard — reuse this when rewriting a store so the
     /// payload fingerprint (which folds the shard checksums) is preserved.
     pub fn shard_rows(&self) -> usize {
         self.shard_rows
     }
 
+    /// Embedding dimensionality.
     pub fn dims(&self) -> usize {
         self.dims
     }
@@ -566,8 +550,8 @@ mod tests {
         dir
     }
 
-    /// Fault points and `V2V_NO_MMAP` are process-global; tests that rely
-    /// on (or suppress) the mapped path must not overlap.
+    /// Fault points are process-global; tests that rely on (or suppress)
+    /// the mapped path must not overlap.
     fn backend_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -711,17 +695,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Captured before the codec moved into `v2v_base::bytes`, from
+    /// integer-valued rows (no kernel rounding): every `.v2s` an earlier
+    /// build wrote, indexed or not, must keep opening.
     #[test]
-    fn no_mmap_env_forces_heap() {
-        let _g = backend_lock();
-        let dir = scratch("env");
+    fn store_bytes_are_pinned() {
+        let dir = scratch("pin");
         let path = dir.join("e.v2s");
-        write_store(&path, 2, &sample(4, 2), 2, None).unwrap();
-        std::env::set_var("V2V_NO_MMAP", "1");
-        let s = EmbeddingStore::open(&path).unwrap();
-        std::env::remove_var("V2V_NO_MMAP");
-        assert!(!s.is_mapped());
-        assert_eq!(s.vector(3).unwrap(), s.payload().unwrap()[6..8].to_vec().as_slice());
+        let data: Vec<f32> = (0..37 * 5).map(|i| (i % 11) as f32 - 5.0).collect();
+        let ix: Vec<u8> = (0..300u32).map(|i| (i * 7 % 251) as u8).collect();
+        let pins = [
+            (None, (0xe1e4_8858_540a_ff82, 4880, 0xeed7_b021_c9e5_b7b0)),
+            (Some(&ix[..]), (0xe1e4_8858_540a_ff82, 5180, 0x3066_2dee_fe5a_cd55)),
+        ];
+        for (index, want) in pins {
+            let fp = write_store(&path, 5, &data, 8, index).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!((fp, bytes.len(), fnv1a64(FNV_OFFSET, &bytes)), want);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,6 +29,13 @@ if grep -rnw --include=Cargo.toml -e rand -e criterion Cargo.toml crates vendor 
   echo "a second generator, rand/criterion or another vendored crate is back (see above)" >&2
   exit 1
 fi
+# One byte codec: every binary format decodes through `v2v_base::bytes`, and
+# the host, not an environment switch, picks the store's mmap or heap path.
+if grep -rn 'from_le_bytes' crates/*/src | grep -v '^crates/base/src/' \
+    || grep -rn 'V2V_NO_MMAP' crates README.md; then
+  echo "a hand-rolled decoder or V2V_NO_MMAP is back (see above)" >&2
+  exit 1
+fi
 # One way in: the server takes its settings as ServerConfig values, `.v2s`
 # is the one binary embedding format, and hardware counters are `perf stat`'s
 # job. None of the three may come back by name.
