@@ -10,6 +10,15 @@
 //! the paper's Fig 7 reports *time to convergence* as a function of
 //! community strength — convergence-based stopping needs a convergence
 //! signal.
+//!
+//! Under negative sampling each pair's negatives are drawn *before* its
+//! forward pass, and their output rows (plus the positive's) are
+//! prefetched, so the loads overlap the context sum instead of stalling
+//! each `dot` in the output layer. With two or more Hogwild workers those
+//! rows have usually just been written by another core, so those misses
+//! are most of the output layer's cost. Only subsampling and these draws
+//! consume the per-walk RNG, in pair order, so `threads == 1` output is a
+//! function of the seed alone (pinned in `pin_tests`).
 
 // Window arithmetic indexes `walk[j]` around a center position; an
 // iterator form would obscure the symmetric-window logic.
@@ -557,17 +566,20 @@ fn row_trainable(ctx: &TrainContext<'_>, row: usize) -> bool {
     ctx.trainable.is_none_or(|m| m[row])
 }
 
-/// Per-thread scratch reused across walks: the CBOW hidden activation and
-/// the input-gradient accumulator. Replaces two heap allocations per walk;
-/// resized (rarely) when the dimensionality changes between runs.
+/// Per-thread scratch reused across walks: the CBOW hidden activation,
+/// the input-gradient accumulator and the current pair's pre-drawn
+/// negatives. Saves a heap allocation per walk for each; resized (rarely)
+/// when the dimensionality changes between runs.
 struct Scratch {
     h: Vec<f32>,
     neu1e: Vec<f32>,
+    negs: Vec<usize>,
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> =
-        const { RefCell::new(Scratch { h: Vec::new(), neu1e: Vec::new() }) };
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch { h: Vec::new(), neu1e: Vec::new(), negs: Vec::new() })
+    };
 }
 
 /// Worker count for one parallel epoch: `threads == 0` means the machine
@@ -757,7 +769,7 @@ fn train_walk_body<K: kernels::Kernels>(
     };
 
     SCRATCH.with(|scratch| {
-        let Scratch { h, neu1e } = &mut *scratch.borrow_mut();
+        let Scratch { h, neu1e, negs } = &mut *scratch.borrow_mut();
         if h.len() != dim {
             h.clear();
             h.resize(dim, 0.0);
@@ -775,6 +787,8 @@ fn train_walk_body<K: kernels::Kernels>(
             pairs += 1;
             match ctx.config.architecture {
                 Architecture::Cbow => {
+                    set_phase(Phase::OutputUpdate);
+                    draw_negatives(center.index(), &mut rng, negs, ctx);
                     // h = average of the context input vectors, whole rows
                     // at a time through the SIMD kernels.
                     set_phase(Phase::Forward);
@@ -791,7 +805,7 @@ fn train_walk_body<K: kernels::Kernels>(
                     neu1e.fill(0.0);
 
                     set_phase(Phase::OutputUpdate);
-                    loss += train_output::<K>(center.index(), h, neu1e, lr, &mut rng, ctx);
+                    loss += train_output::<K>(center.index(), h, neu1e, lr, negs, ctx);
                     set_phase(Phase::Gradient);
 
                     // The true gradient of the averaged hidden layer w.r.t.
@@ -811,10 +825,13 @@ fn train_walk_body<K: kernels::Kernels>(
                         if j == i {
                             continue;
                         }
-                        set_phase(Phase::Forward);
+                        // No forward pass to hide the prefetch behind here:
+                        // the neu1e reset is all that precedes the output
+                        // layer, so the whole pair is output_update.
+                        set_phase(Phase::OutputUpdate);
+                        draw_negatives(center.index(), &mut rng, negs, ctx);
                         let input = walk[j].index();
                         neu1e.fill(0.0);
-                        set_phase(Phase::OutputUpdate);
                         // The input row is used directly as the hidden
                         // activation (as in word2vec.c) — no per-pair copy.
                         // It is only *read* until train_output returns;
@@ -824,7 +841,7 @@ fn train_walk_body<K: kernels::Kernels>(
                             ctx.syn0.row(input),
                             neu1e,
                             lr,
-                            &mut rng,
+                            negs,
                             ctx,
                         );
                         set_phase(Phase::Gradient);
@@ -840,29 +857,45 @@ fn train_walk_body<K: kernels::Kernels>(
     (loss, pairs)
 }
 
+/// Draws the negatives of one pair with positive `target` into `negs` and
+/// prefetches the output rows of the positive and every negative, so the
+/// loads overlap the forward pass instead of stalling each `dot` in
+/// [`train_output`] — under Hogwild another core has usually just written
+/// those rows. Hierarchical softmax draws nothing.
+#[inline(always)]
+fn draw_negatives(target: usize, rng: &mut Rng, negs: &mut Vec<usize>, ctx: &TrainContext<'_>) {
+    let OutputLayer::NegativeSampling { negatives } = ctx.config.output else {
+        return;
+    };
+    let sampler = ctx.sampler.expect("sampler built for negative sampling");
+    negs.clear();
+    negs.extend((0..negatives).map(|_| sampler.sample(rng, target)));
+    kernels::prefetch(ctx.syn1.row(target));
+    for &t in negs.iter() {
+        kernels::prefetch(ctx.syn1.row(t));
+    }
+}
+
 /// One output-layer update for hidden activation `h` and target word
 /// `target`; accumulates the input gradient into `neu1e` and returns the
-/// loss contribution. Generic over the compile-time kernel set so the
-/// dot/axpy calls inline into the per-backend walk loop.
+/// loss contribution. Under negative sampling the negatives are `negs`,
+/// pre-drawn by [`draw_negatives`] before the forward pass. Generic over
+/// the compile-time kernel set so the dot/axpy calls inline into the
+/// per-backend walk loop.
 #[inline(always)]
 fn train_output<K: kernels::Kernels>(
     target: usize,
     h: &[f32],
     neu1e: &mut [f32],
     lr: f32,
-    rng: &mut Rng,
+    negs: &[usize],
     ctx: &TrainContext<'_>,
 ) -> f64 {
     let mut loss = 0.0f64;
     match ctx.config.output {
-        OutputLayer::NegativeSampling { negatives } => {
-            let sampler = ctx.sampler.expect("sampler built for negative sampling");
-            for d in 0..=negatives {
-                let (t, label) = if d == 0 {
-                    (target, 1.0f32)
-                } else {
-                    (sampler.sample(rng, target), 0.0f32)
-                };
+        OutputLayer::NegativeSampling { .. } => {
+            let samples = std::iter::once((target, 1.0f32)).chain(negs.iter().map(|&t| (t, 0.0)));
+            for (t, label) in samples {
                 let row = ctx.syn1.row(t);
                 // SAFETY: all rows and scratch share length `dim`; K chosen
                 // by dispatch (availability verified).
@@ -1284,6 +1317,60 @@ mod checkpoint_tests {
         let on_disk = TrainCheckpoint::load(&path_in(&dir)).unwrap();
         assert_eq!(on_disk.next_epoch, stats.epochs_run);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Byte pins on trained weights: one FNV-1a 64 of the `threads: 1` output
+/// bits per output-layer path, captured before negatives were drawn ahead
+/// of the forward pass. The RNG stream and the arithmetic order must not
+/// move, so neither may these. SIMD reassociates sums, so each backend has
+/// its own literal (the unrolled one cannot be forced from a test and goes
+/// unpinned).
+#[cfg(test)]
+mod pin_tests {
+    use super::tests::{quick_config, small_corpus};
+    use super::*;
+    use v2v_base::hash::{fnv1a64, FNV_OFFSET};
+
+    fn bits(emb: &Embedding) -> u64 {
+        let bytes: Vec<u8> = emb.as_flat().iter().flat_map(|x| x.to_le_bytes()).collect();
+        fnv1a64(FNV_OFFSET, &bytes)
+    }
+
+    #[test]
+    fn trained_bits_are_pinned() {
+        // (case, avx2fma, scalar)
+        let pins: [(&str, u64, u64); 5] = [
+            ("cbow_ns", 0xe25f_83cb_4261_5758, 0xc61b_431f_60ee_8de2),
+            ("cbow_ns_subsample", 0x2284_9ccf_28e9_6612, 0x1110_2e2f_2962_9d59),
+            ("skipgram_ns", 0xf2e7_cd8b_2a07_2538, 0xa82a_565a_7432_667f),
+            ("cbow_hs", 0x5fff_e411_967c_9c6a, 0xf4d4_ad59_3e36_e035),
+            ("fine_tune_half_mask", 0x14cd_c72d_7484_286a, 0x5508_0717_d40e_80f6),
+        ];
+        let scalar = match kernels::backend() {
+            kernels::Backend::Avx2Fma => false,
+            kernels::Backend::Scalar => true,
+            kernels::Backend::Unrolled => return,
+        };
+        let corpus = small_corpus(40);
+        let cfg = quick_config();
+        let run = |cfg: &EmbedConfig| bits(&train(&corpus, cfg).unwrap().0);
+        let (base, _) = train(&corpus, &cfg).unwrap();
+        let mask: Vec<bool> = (0..base.len()).map(|i| i % 2 == 0).collect();
+        let got = [
+            run(&cfg),
+            run(&EmbedConfig { subsample: Some(1e-3), ..cfg }),
+            run(&EmbedConfig { architecture: Architecture::SkipGram, ..cfg }),
+            run(&EmbedConfig { output: OutputLayer::HierarchicalSoftmax, ..cfg }),
+            bits(&fine_tune(&base, &corpus, &cfg, &mask).unwrap().0),
+        ];
+        let moved: Vec<String> = pins
+            .iter()
+            .zip(got)
+            .filter(|((_, avx2, scalar_pin), got)| *got != if scalar { *scalar_pin } else { *avx2 })
+            .map(|((case, _, _), got)| format!("{case}: {got:#018x}"))
+            .collect();
+        assert!(moved.is_empty(), "trained bits moved on {}: {moved:?}", kernels::backend_name());
     }
 }
 

@@ -186,9 +186,9 @@ pub struct WorkerSnapshot {
 }
 
 /// Aggregate attribution of one training run's concurrency behaviour,
-/// computed from the worker slots. This is what `bench_embed --sweep`
-/// writes into `BENCH_embed.json` and what the trainer surfaces in its
-/// `TrainStats`.
+/// computed from the worker slots. The trainer surfaces it in its
+/// `TrainStats`, and `benchmark/` reads it back as
+/// `embed.barrier_wait_frac` / `embed.throughput_skew`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConcurrencyReport {
     /// Workers that actually recorded work.
