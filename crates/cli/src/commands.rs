@@ -521,10 +521,12 @@ pub fn predict(opts: &Opts) -> Result<(), String> {
 }
 
 /// `v2v serve`: load an embedding (text or `.v2s` store), build the ANN index,
-/// and answer `/neighbors`, `/similarity`, `/predict`, `/healthz`,
-/// `/metricz`, and `POST /reload` over HTTP until SIGINT/SIGTERM.
-/// SIGHUP (or `/reload`) re-reads the embedding and label files and
-/// swaps the state in without dropping in-flight requests.
+/// and answer the route table of `v2v_serve::api::router` over HTTP until
+/// SIGINT/SIGTERM: `/healthz`, `/neighbors`, `/similarity`, `/predict`,
+/// `/batch`, `/metricz`, `/tracez` and `POST /reload`, plus `POST /ingest`
+/// with `--wal-dir` and `/qualityz` unless `--quality-off`. SIGHUP (or
+/// `/reload`) re-reads the embedding and label files and swaps the state
+/// in without dropping in-flight requests.
 pub fn serve(opts: &Opts) -> Result<(), String> {
     let cold_start = std::time::Instant::now();
     let embedding_path = opts.require("embedding")?.to_string();
@@ -572,7 +574,7 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     // into the serving state, and the whole committed log replays here —
     // before the listener binds — so no request ever sees pre-crash state.
     let churn_threshold: f64 = opts.get("quality-churn-threshold")?;
-    let handler = match opts.get_str("wal-dir") {
+    let ingest = match opts.get_str("wal-dir") {
         Some(dir) => {
             let ingest_config = v2v_serve::ingest::IngestConfig {
                 max_pending: opts.get("ingest-queue")?,
@@ -586,17 +588,17 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
                 ingest.wal_replayed(),
                 ingest.durable_seq()
             );
-            v2v_serve::ingest::handler(handle.clone(), ingest)
+            Some(ingest)
         }
-        None => handle.clone().into_handler(),
+        None => None,
     };
 
     // Quality sentinel: a SCHED_IDLE probe loop replaying a stable canary
     // set against every installed state — recall@10 vs brute force,
     // per-swap neighbor churn, centroid drift — exported on /metricz,
     // GET /qualityz, and the flight recorder. On by default.
-    let handler = if opts.flag("quality-off") {
-        handler
+    let quality = if opts.flag("quality-off") {
+        None
     } else {
         let sentinel_config = v2v_serve::SentinelConfig {
             canaries: opts.get("quality-canaries")?,
@@ -614,7 +616,7 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
             sentinel_config.probe_interval.as_millis(),
             sentinel_config.churn_threshold
         );
-        v2v_serve::sentinel::handler(handler, quality)
+        Some(quality)
     };
 
     let server_config = v2v_serve::ServerConfig {
@@ -628,6 +630,7 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
         access_log: opts.env.access_log.clone(),
         ..Default::default()
     };
+    let handler = v2v_serve::api::router(handle.clone(), ingest, quality);
     let server = v2v_serve::Server::bind(server_config, handler)
         .map_err(|e| format!("cannot bind: {e}"))?;
     v2v_serve::signal::install();

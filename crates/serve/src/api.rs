@@ -1,8 +1,10 @@
-//! The query API: server state plus the JSON endpoint handlers.
+//! The query API: server state, the JSON endpoint handlers, and the
+//! route table [`router`] serves them from.
 //!
 //! Routes (all responses are JSON):
 //!
-//! * `GET /healthz` — liveness + index shape.
+//! * `GET /healthz` — liveness + index shape, plus the `ingest.*` counters
+//!   when streaming ingest is mounted.
 //! * `GET /neighbors?v=<id>&k=<k>[&ef=<ef>]` — the `k` nearest vertices to
 //!   vertex `v` (excluding `v`), via the ANN index.
 //! * `GET /similarity?a=<id>&b=<id>` — cosine similarity of two vertices.
@@ -27,6 +29,10 @@
 //!   as JSON, for post-hoc "what just happened" queries.
 //! * `POST /reload` — rebuild the state from the reload source and swap
 //!   it in without dropping in-flight requests (see [`ServeHandle`]).
+//! * `POST /ingest` — durable streaming edge updates
+//!   ([`IngestState::submit`]); mounted when ingest runs.
+//! * `GET /qualityz` — the quality sentinel's latest probe report;
+//!   mounted when the sentinel runs.
 //!
 //! Resilience: if the freshly built ANN index fails structural
 //! validation, the state comes up **degraded** — every query falls back
@@ -34,7 +40,9 @@
 //! wrong neighbors or refusing to start. `/healthz` reports the mode.
 
 use crate::hnsw::{HnswConfig, HnswIndex};
-use crate::http::{Handler, Request, Response};
+use crate::http::{Handler, Request, Response, LATENCY_BOUNDS};
+use crate::ingest::IngestState;
+use crate::sentinel::QualityState;
 use crate::swap::Swap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -253,7 +261,7 @@ impl ServeState {
         };
         for s in ["snapshot", "rebuilt", "degraded", "refreshed"] {
             metrics
-                .gauge(&format!("serve.index_source.{s}"))
+                .gauge(&["serve.index_source.", s].concat())
                 .set(f64::from(s == index_source));
         }
         v2v_obs::record_event(v2v_obs::Event::new(
@@ -295,11 +303,6 @@ impl ServeState {
     /// How the ANN index was obtained (`snapshot` / `rebuilt` / `degraded`).
     pub fn index_source(&self) -> &'static str {
         self.index_source
-    }
-
-    /// Wraps this state into the server's request handler.
-    pub fn into_handler(self: Arc<Self>) -> Handler {
-        Arc::new(move |req: &Request| handle(&self, req))
     }
 }
 
@@ -400,77 +403,143 @@ impl ServeHandle {
         Ok(fresh)
     }
 
-    /// Wraps this handle into the server's request handler, routing
-    /// `POST /reload` here and everything else to [`handle`].
+    /// The server's request handler with no feeds mounted.
     pub fn into_handler(self: Arc<Self>) -> Handler {
-        Arc::new(move |req: &Request| {
-            if req.path == "/reload" {
-                if req.method != "POST" {
-                    return Response::error(405, &format!("method {} not allowed here", req.method));
-                }
-                return match self.reload() {
-                    Ok(state) => Response::json(
-                        200,
-                        format!(
-                            "{{\"reloaded\": true, \"vectors\": {}, \"degraded\": {}}}",
-                            state.vectors.len(),
-                            state.degraded
-                        ),
-                    ),
-                    Err(e) => {
-                        if e.contains("without a reload source") {
-                            Response::error(400, &e)
-                        } else {
-                            Response::error(500, &format!("reload failed: {e}"))
-                        }
-                    }
-                };
-            }
-            handle(&self.state.load(), req)
-        })
+        router(self, None, None)
     }
 }
 
-/// Routes one request. The request's trace context is already populated
-/// (`req.request_id`); handlers run under a span named for the endpoint so
-/// slow-request logs show where the time went.
+/// What answers a route: a read of the serving state alone (which
+/// [`handle`] answers), `/healthz`, or a control or feed route.
+#[derive(Clone, Copy)]
+enum Answer {
+    Read(fn(&ServeState, &Request) -> Response),
+    Health,
+    Reload,
+    Ingest,
+    Quality,
+}
+use Answer::{Health, Ingest, Quality, Read, Reload};
+
+/// One endpoint; `span` is static so the span tree stays bounded.
+struct Route {
+    path: &'static str,
+    methods: &'static [&'static str],
+    span: &'static str,
+    answer: Answer,
+}
+
+const GET: &[&str] = &["GET"];
+const POST: &[&str] = &["POST"];
+const GET_POST: &[&str] = &["GET", "POST"];
+
+/// Every endpoint the server answers, each declared once.
+const ROUTES: [Route; 10] = [
+    Route { path: "/healthz", methods: GET, span: "serve/healthz", answer: Health },
+    Route { path: "/neighbors", methods: GET, span: "serve/neighbors", answer: Read(neighbors) },
+    Route { path: "/similarity", methods: GET, span: "serve/similarity", answer: Read(similarity) },
+    Route { path: "/predict", methods: GET_POST, span: "serve/predict", answer: Read(predict) },
+    Route { path: "/batch", methods: POST, span: "serve/batch", answer: Read(batch) },
+    Route { path: "/metricz", methods: GET, span: "serve/metricz", answer: Read(metricz) },
+    Route { path: "/tracez", methods: GET, span: "serve/tracez", answer: Read(tracez) },
+    Route { path: "/reload", methods: POST, span: "serve/reload", answer: Reload },
+    Route { path: "/ingest", methods: POST, span: "serve/ingest", answer: Ingest },
+    Route { path: "/qualityz", methods: GET, span: "serve/qualityz", answer: Quality },
+];
+
+impl Route {
+    /// `answer()` under the route's span, or 405 for a method it does not take.
+    fn serve(&self, req: &Request, answer: impl FnOnce() -> Response) -> Response {
+        let _span = v2v_obs::span(self.span);
+        if !req.request_id.is_empty() {
+            v2v_obs::obs_debug!("[{}] {} {}", req.request_id, req.method, req.path);
+        }
+        if self.methods.contains(&req.method.as_str()) {
+            answer()
+        } else {
+            Response::error(405, &format!("method {} not allowed here", req.method))
+        }
+    }
+}
+
+fn not_found(req: &Request) -> Response {
+    Response::error(404, &format!("no such route {}", req.path))
+}
+
+/// The server's request handler: every route in `ROUTES`, less `/ingest`
+/// without `ingest` and `/qualityz` without `quality`, each with its
+/// `serve.requests.<route>` counter and `serve.latency.<route>` window
+/// resolved here, once; every request to it counts, whatever its method or
+/// status. Any other path is a 404 that makes no instrument.
+pub fn router(
+    serve: Arc<ServeHandle>,
+    ingest: Option<Arc<IngestState>>,
+    quality: Option<Arc<QualityState>>,
+) -> Handler {
+    let metrics = v2v_obs::global_metrics();
+    let mounted: Vec<_> = ROUTES
+        .iter()
+        .filter(|route| match route.answer {
+            Ingest => ingest.is_some(),
+            Quality => quality.is_some(),
+            _ => true,
+        })
+        .map(|route| {
+            let name = &route.path[1..];
+            let requests = metrics.counter(&["serve.requests.", name].concat());
+            (route, requests, metrics.windowed(&["serve.latency.", name].concat(), &LATENCY_BOUNDS))
+        })
+        .collect();
+    Arc::new(move |req: &Request| {
+        let Some((route, requests, latency)) = mounted.iter().find(|(r, ..)| r.path == req.path)
+        else {
+            return not_found(req);
+        };
+        requests.inc();
+        let response = match (route.answer, &ingest, &quality) {
+            (Read(_), ..) => handle(&serve.state(), req),
+            (Health, ..) => route.serve(req, || healthz(&serve.state(), ingest.as_deref())),
+            (Reload, ..) => route.serve(req, || reload(&serve)),
+            (Ingest, Some(ingest), _) => route.serve(req, || ingest.submit(&req.body)),
+            (Quality, _, Some(quality)) => {
+                route.serve(req, || Response::json(200, quality.to_json()))
+            }
+            // Unmounted, so filtered out above.
+            (Ingest | Quality, ..) => not_found(req),
+        };
+        if let Some(started) = req.started {
+            latency.record(started.elapsed().as_secs_f64() * 1e3);
+        }
+        response
+    })
+}
+
+/// Answers the routes that need only `state`: the reads, and `/healthz`
+/// without ingest keys. [`router`] calls this for the reads; every other
+/// path is a 404 here.
 pub fn handle(state: &ServeState, req: &Request) -> Response {
-    let name = req.path.trim_start_matches('/');
-    let metric_named = !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric());
-    let _span = match (metric_named, req.path.as_str()) {
-        // Static names keep the span tree's cardinality bounded.
-        (true, "/healthz") => Some(v2v_obs::span("serve/healthz")),
-        (true, "/neighbors") => Some(v2v_obs::span("serve/neighbors")),
-        (true, "/similarity") => Some(v2v_obs::span("serve/similarity")),
-        (true, "/predict") => Some(v2v_obs::span("serve/predict")),
-        (true, "/batch") => Some(v2v_obs::span("serve/batch")),
-        (true, "/metricz") => Some(v2v_obs::span("serve/metricz")),
-        (true, "/tracez") => Some(v2v_obs::span("serve/tracez")),
-        _ => None,
-    };
-    if !req.request_id.is_empty() {
-        v2v_obs::obs_debug!("[{}] {} {}", req.request_id, req.method, req.path);
+    match ROUTES.iter().find(|route| route.path == req.path) {
+        Some(route @ Route { answer: Read(read), .. }) => route.serve(req, || read(state, req)),
+        Some(route @ Route { answer: Health, .. }) => route.serve(req, || healthz(state, None)),
+        _ => not_found(req),
     }
-    let route = match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => healthz(state),
-        ("GET", "/neighbors") => neighbors(state, req),
-        ("GET", "/similarity") => similarity(state, req),
-        ("GET", "/predict") => predict_vertex(state, req),
-        ("POST", "/predict") => predict_vector(state, req),
-        ("POST", "/batch") => batch(state, req),
-        ("GET", "/metricz") => metricz(req),
-        ("GET", "/tracez") => tracez(),
-        (
-            _,
-            "/healthz" | "/neighbors" | "/similarity" | "/predict" | "/batch" | "/metricz"
-            | "/tracez",
-        ) => Response::error(405, &format!("method {} not allowed here", req.method)),
-        (_, path) => Response::error(404, &format!("no such route {path}")),
-    };
-    if metric_named {
-        v2v_obs::global_metrics().counter(&format!("serve.requests.{name}")).inc();
+}
+
+/// `POST /reload`: 400 without a reload source, 500 when the rebuild
+/// fails (the old state keeps serving).
+fn reload(serve: &ServeHandle) -> Response {
+    match serve.reload() {
+        Ok(state) => Response::json(
+            200,
+            format!(
+                "{{\"reloaded\": true, \"vectors\": {}, \"degraded\": {}}}",
+                state.vectors.len(),
+                state.degraded
+            ),
+        ),
+        Err(e) if serve.reloader.is_none() => Response::error(400, &e),
+        Err(e) => Response::error(500, &format!("reload failed: {e}")),
     }
-    route
 }
 
 /// A `usize` query parameter, or a 400 explaining what's wrong.
@@ -494,11 +563,13 @@ fn vertex_param(state: &ServeState, req: &Request, key: &str) -> Result<usize, R
     Ok(v)
 }
 
-fn healthz(state: &ServeState) -> Response {
+/// With ingest mounted, its counters follow as flat keys, so scripts can
+/// `grep` them without a JSON library.
+fn healthz(state: &ServeState, ingest: Option<&IngestState>) -> Response {
     let mut body = String::from("{\"status\": \"ok\"");
     let _ = write!(
         body,
-        ", \"vectors\": {}, \"dimensions\": {}, \"index\": \"{}\", \"index_source\": \"{}\", \"backing\": \"{}\", \"degraded\": {}, \"metric\": \"{}\", \"ef_search\": {}, \"labels\": {}}}",
+        ", \"vectors\": {}, \"dimensions\": {}, \"index\": \"{}\", \"index_source\": \"{}\", \"backing\": \"{}\", \"degraded\": {}, \"metric\": \"{}\", \"ef_search\": {}, \"labels\": {}",
         state.vectors.len(),
         state.vectors.dimensions(),
         if state.index.is_graph() { "hnsw" } else { "exact" },
@@ -509,6 +580,20 @@ fn healthz(state: &ServeState) -> Response {
         state.index.config().ef_search,
         state.labels.is_some(),
     );
+    if let Some(ingest) = ingest {
+        let _ = write!(
+            body,
+            ", \"ingest.wal_replayed\": {}, \"ingest.lag_edges\": {}, \"ingest.last_applied_seq\": {}, \"ingest.durable_seq\": {}, \"ingest.folded_edges\": {}, \"ingest.wal.segments\": {}, \"ingest.wal.bytes\": {}",
+            ingest.wal_replayed(),
+            ingest.lag_edges(),
+            ingest.last_applied_seq(),
+            ingest.durable_seq(),
+            ingest.folded_edges(),
+            ingest.wal_segments(),
+            ingest.wal_bytes(),
+        );
+    }
+    body.push('}');
     Response::json(200, body)
 }
 
@@ -602,7 +687,11 @@ fn vote_labeled(
     Ok(v2v_ml::knn::vote(&state.dense_labels, &candidates))
 }
 
-fn predict_vertex(state: &ServeState, req: &Request) -> Response {
+/// `GET /predict` votes for vertex `v`, `POST /predict` for a body vector.
+fn predict(state: &ServeState, req: &Request) -> Response {
+    if req.method == "POST" {
+        return predict_vector(state, req);
+    }
     let v = match vertex_param(state, req, "v") {
         Ok(v) => v,
         Err(r) => return r,
@@ -740,7 +829,7 @@ fn batch_dispatch(state: &ServeState, q: &json::Value) -> Response {
         "neighbors" => neighbors(state, &synth),
         "similarity" => similarity(state, &synth),
         "predict" if q.get("vector").is_some() => predict_parsed(state, q),
-        "predict" => predict_vertex(state, &synth),
+        "predict" => predict(state, &synth),
         other => Response::error(
             400,
             &format!("unknown op {other:?} (neighbors, similarity, predict)"),
@@ -751,7 +840,7 @@ fn batch_dispatch(state: &ServeState, q: &json::Value) -> Response {
 /// Serializes the global metrics registry (counters, gauges, histogram
 /// summaries, rotating-window quantiles) as one JSON object — or, with
 /// `?format=prometheus`, as the text exposition format scrapers consume.
-fn metricz(req: &Request) -> Response {
+fn metricz(_: &ServeState, req: &Request) -> Response {
     let snap = v2v_obs::global_metrics().snapshot();
     match req.param("format") {
         Some("prometheus") => {
@@ -837,7 +926,7 @@ fn metricz(req: &Request) -> Response {
 
 /// Dumps the flight recorder: the most recent structured events, each
 /// carrying the request ID the client saw in `X-Request-Id`.
-fn tracez() -> Response {
+fn tracez(_: &ServeState, _: &Request) -> Response {
     Response::json(200, v2v_obs::global_recorder().to_json())
 }
 
@@ -1082,6 +1171,23 @@ mod tests {
         assert_eq!(handle(&state, &req).status, 405);
         let req = Request { path: "/batch".into(), ..Default::default() };
         assert_eq!(handle(&state, &req).status, 405, "GET /batch is not a thing");
+    }
+
+    /// The `/reload` status follows from whether there is a reload source,
+    /// not from the error text: a reloader whose failure happens to name
+    /// the missing-source phrase is still a 500.
+    #[test]
+    fn reload_status_follows_the_reload_source_not_the_message() {
+        let post_reload = Request { method: "POST".into(), path: "/reload".into(), ..Default::default() };
+        let failing: Reloader =
+            Box::new(|| Err("/srv/server was started without a reload source/x.v2s: gone".into()));
+        let r = ServeHandle::new(state_with_labels(), Some(failing)).into_handler()(&post_reload);
+        assert_eq!(r.status, 500, "{}", r.body);
+        assert!(r.body.starts_with("{\"error\": \"reload failed: "), "{}", r.body);
+
+        let r = ServeHandle::new(state_with_labels(), None).into_handler()(&post_reload);
+        assert_eq!(r.status, 400);
+        assert_eq!(r.body, r#"{"error": "server was started without a reload source"}"#);
     }
 
     #[test]

@@ -36,10 +36,12 @@
 //!   request (counted as `serve.panics`) instead of killing the worker.
 //!
 //! Every request is counted and timed into the global `v2v-obs` registry
-//! (`serve.requests`, `serve.errors`, `serve.latency_ms`, plus the
-//! rotating-window `serve.latency.<endpoint>` quantiles), which
-//! `/metricz` then exports — the server measures itself with the same
-//! machinery as the training pipeline. Each request carries a trace
+//! (`serve.requests`, `serve.errors`, `serve.latency_ms`, the
+//! rotating-window `serve.latency.all`; instruments resolved once at
+//! bind), which `/metricz` then exports — the server measures itself with
+//! the same machinery as the training pipeline. Per-route counts and
+//! windows belong to the route table ([`crate::api::router`]). Each
+//! request carries a trace
 //! context: the client's `X-Request-Id` (validated) or a generated ID is
 //! echoed on every response — including sheds and parse failures — logged
 //! on the structured access log ([`ServerConfig::access_log`]), and
@@ -52,7 +54,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use v2v_obs::obs_debug;
+use v2v_obs::{obs_debug, Counter, Histogram, WindowedHistogram};
 
 /// How often the shutdown waker checks whether a stop was requested: the
 /// most a stop waits before a blocked `accept` is woken.
@@ -133,6 +135,9 @@ pub struct Request {
     /// (HTTP/1.1 without `Connection: close`, or HTTP/1.0 with
     /// `Connection: keep-alive`).
     pub keep_alive: bool,
+    /// When the server began reading this request; `None` for a request
+    /// built in-process. Per-route latency is timed from here.
+    pub started: Option<Instant>,
 }
 
 impl Request {
@@ -237,7 +242,22 @@ pub struct Server {
     config: ServerConfig,
     handler: Handler,
     access_log: Option<Arc<AccessLog>>,
+    instruments: Arc<Instruments>,
     shutdown: Arc<AtomicBool>,
+}
+
+/// The server's own request and connection instruments, resolved once at
+/// bind so serving a request looks none of them up.
+struct Instruments {
+    requests: Arc<Counter>,
+    errors: Arc<Counter>,
+    panics: Arc<Counter>,
+    latency_ms: Arc<Histogram>,
+    latency_all: Arc<WindowedHistogram>,
+    opened: Arc<Counter>,
+    reused: Arc<Counter>,
+    pipelined: Arc<Counter>,
+    closed: Arc<Counter>,
 }
 
 impl Server {
@@ -246,6 +266,7 @@ impl Server {
     pub fn bind(config: ServerConfig, handler: Handler) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
+        let metrics = v2v_obs::global_metrics();
         let access_log = match config.access_log.as_deref() {
             None => None,
             Some("stderr") => Some(AccessLog::Stderr),
@@ -263,6 +284,17 @@ impl Server {
             config,
             handler,
             access_log: access_log.map(Arc::new),
+            instruments: Arc::new(Instruments {
+                requests: metrics.counter("serve.requests"),
+                errors: metrics.counter("serve.errors"),
+                panics: metrics.counter("serve.panics"),
+                latency_ms: metrics.histogram("serve.latency_ms", &LATENCY_BOUNDS),
+                latency_all: metrics.windowed("serve.latency.all", &LATENCY_BOUNDS),
+                opened: metrics.counter("serve.conn.opened"),
+                reused: metrics.counter("serve.conn.reused"),
+                pipelined: metrics.counter("serve.conn.pipelined"),
+                closed: metrics.counter("serve.conn.closed"),
+            }),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -317,6 +349,7 @@ impl Server {
                 let handler = self.handler.clone();
                 let config = self.config.clone();
                 let access_log = self.access_log.clone();
+                let instruments = self.instruments.clone();
                 let stopping = stopping.clone();
                 std::thread::spawn(move || loop {
                     let stream = {
@@ -337,6 +370,7 @@ impl Server {
                             &handler,
                             &config,
                             access_log.as_deref(),
+                            &instruments,
                             &stopping,
                         ),
                         None => return,
@@ -354,6 +388,8 @@ impl Server {
         metrics
             .gauge("serve.conn.idle_timeout_ms")
             .set(self.config.idle_timeout.as_millis() as f64);
+        let shed = metrics.counter("serve.shed");
+        let queue_depth = metrics.gauge("serve.queue_depth");
         // Numbers each shed so adaptive Retry-After jitter varies client
         // to client instead of synchronizing their retries.
         let mut shed_salt = 0u64;
@@ -373,14 +409,14 @@ impl Server {
                         // the client backs off instead of timing out.
                         let depth = guard.0.len();
                         drop(guard);
-                        metrics.counter("serve.shed").inc();
+                        shed.inc();
                         shed_salt = shed_salt.wrapping_add(1);
                         shed_connection(stream, depth, self.config.max_queue, shed_salt);
                     } else {
                         guard.0.push_back(stream);
                         let depth = guard.0.len();
                         drop(guard);
-                        metrics.gauge("serve.queue_depth").set(depth as f64);
+                        queue_depth.set(depth as f64);
                         queue.ready.notify_one();
                     }
                 }
@@ -576,9 +612,9 @@ fn handle_connection(
     handler: &Handler,
     config: &ServerConfig,
     access_log: Option<&AccessLog>,
+    metrics: &Instruments,
     stopping: &AtomicBool,
 ) {
-    let metrics = v2v_obs::global_metrics();
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.read_timeout));
     let mut conn = Conn {
@@ -586,7 +622,7 @@ fn handle_connection(
         carry: Vec::with_capacity(512),
         out: Vec::with_capacity(1024),
     };
-    metrics.counter("serve.conn.opened").inc();
+    metrics.opened.inc();
     let max_requests = config.keep_alive_requests;
     let mut served = 0usize;
     let mut drain = false;
@@ -634,9 +670,9 @@ fn handle_connection(
             } else {
                 // The next request (or its start) arrived before the
                 // previous response was written: true pipelining.
-                metrics.counter("serve.conn.pipelined").inc();
+                metrics.pipelined.inc();
             }
-            metrics.counter("serve.conn.reused").inc();
+            metrics.reused.inc();
         }
 
         let started = Instant::now();
@@ -659,10 +695,11 @@ fn handle_connection(
                     None => v2v_obs::TraceCtx::new(),
                 };
                 request.request_id = ctx.request_id;
+                request.started = Some(started);
                 method = request.method.clone();
                 path = request.path.clone();
                 trace = Some(request.request_id.clone());
-                metrics.counter("serve.requests").inc();
+                metrics.requests.inc();
                 // A panicking handler must cost one request, not a worker
                 // thread: catch it, count it, answer 500. The handler only
                 // sees `&Request` and internally-shared state, so observing
@@ -671,7 +708,7 @@ fn handle_connection(
                 {
                     Ok(response) => response,
                     Err(_) => {
-                        metrics.counter("serve.panics").inc();
+                        metrics.panics.inc();
                         close = true;
                         v2v_obs::record_event(
                             v2v_obs::Event::new(
@@ -687,7 +724,7 @@ fn handle_connection(
             }
             Ok(None) => break, // client closed without starting a request
             Err(e) => {
-                metrics.counter("serve.requests").inc();
+                metrics.requests.inc();
                 close = true;
                 drain = true;
                 Response::error(e.status, &e.message)
@@ -696,18 +733,13 @@ fn handle_connection(
         let request_id = trace.unwrap_or_else(v2v_obs::gen_request_id);
         let response = response.with_header("X-Request-Id", request_id.clone());
         if response.status >= 400 {
-            metrics.counter("serve.errors").inc();
+            metrics.errors.inc();
         }
         let latency_ms = started.elapsed().as_secs_f64() * 1e3;
-        metrics.histogram("serve.latency_ms", &LATENCY_BOUNDS).record(latency_ms);
-        // Live tail quantiles: overall plus per endpoint, over a rotating
-        // window, so `/metricz` shows "now" and not "since boot".
-        metrics.windowed("serve.latency.all", &LATENCY_BOUNDS).record(latency_ms);
-        if let Some(endpoint) = endpoint_name(&path) {
-            metrics
-                .windowed(&format!("serve.latency.{endpoint}"), &LATENCY_BOUNDS)
-                .record(latency_ms);
-        }
+        metrics.latency_ms.record(latency_ms);
+        // Live tail quantiles over a rotating window, so `/metricz` shows
+        // "now" and not "since boot".
+        metrics.latency_all.record(latency_ms);
         v2v_obs::record_event(
             v2v_obs::Event::new(
                 "request",
@@ -745,19 +777,12 @@ fn handle_connection(
         // the next blocking read inside `read_request`) flushes first.
     }
     let _ = flush_out(&mut conn.stream, &mut conn.out);
-    metrics.counter("serve.conn.closed").inc();
+    metrics.closed.inc();
     if drain {
         // The last request was rejected before it was fully read; see
         // `drain_before_close` for why closing now would eat the response.
         drain_before_close(&mut conn.stream, Duration::from_secs(1));
     }
-}
-
-/// The metric-safe endpoint name for a path (`/neighbors` → `neighbors`);
-/// `None` for paths that would explode metric cardinality.
-fn endpoint_name(path: &str) -> Option<&str> {
-    let name = path.trim_start_matches('/');
-    (!name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric())).then_some(name)
 }
 
 /// The opened destination of [`ServerConfig::access_log`], shared by the
@@ -799,7 +824,7 @@ fn write_access_log(
 
 /// Exponential latency buckets: `0.05 * 2^i` ms for `i` in `0..12`, i.e.
 /// 0.05 ms … ~100 ms.
-const LATENCY_BOUNDS: [f64; 12] =
+pub(crate) const LATENCY_BOUNDS: [f64; 12] =
     [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8, 25.6, 51.2, 102.4];
 
 const MAX_HEAD: usize = 16 * 1024;
@@ -944,6 +969,7 @@ fn read_request(
         // Populated by `handle_connection` once the trace context exists.
         request_id: String::new(),
         keep_alive,
+        started: None,
     }))
 }
 
@@ -1068,15 +1094,6 @@ mod tests {
         let close = String::from_utf8(close).unwrap();
         assert!(close.contains("Connection: close\r\n"));
         assert!(close.ends_with("\r\n\r\n{}"));
-    }
-
-    #[test]
-    fn endpoint_names_bound_cardinality() {
-        assert_eq!(endpoint_name("/neighbors"), Some("neighbors"));
-        assert_eq!(endpoint_name("/healthz"), Some("healthz"));
-        assert_eq!(endpoint_name("/"), None);
-        assert_eq!(endpoint_name("/a/b"), None, "nested paths stay unnamed");
-        assert_eq!(endpoint_name("/☃"), None);
     }
 
     /// The `/metricz` latency buckets must not move: each bound is

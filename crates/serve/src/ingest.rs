@@ -33,9 +33,8 @@
 
 use crate::api::{ServeHandle, ServeState};
 use crate::hnsw::HnswIndex;
-use crate::http::{retry_after_secs, Handler, Request, Response};
+use crate::http::{retry_after_secs, Response};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -178,7 +177,6 @@ impl IngestState {
     /// fsync'd every edge in the batch.
     pub fn submit(&self, body: &[u8]) -> Response {
         let metrics = v2v_obs::global_metrics();
-        metrics.counter("serve.requests.ingest").inc();
         // One critical section from the admission checks through the
         // enqueue: sequence numbers enter the queue in order (the refresh
         // worker's seq-based idempotence depends on it), and the
@@ -231,26 +229,6 @@ impl IngestState {
                 edges.len()
             ),
         )
-    }
-
-    /// Splices the ingest gauges into a `/healthz` body (flat keys, so
-    /// scripts can `grep` them without a JSON library).
-    fn augment_healthz(&self, mut resp: Response) -> Response {
-        if resp.body.ends_with('}') {
-            resp.body.pop();
-            let _ = write!(
-                resp.body,
-                ", \"ingest.wal_replayed\": {}, \"ingest.lag_edges\": {}, \"ingest.last_applied_seq\": {}, \"ingest.durable_seq\": {}, \"ingest.folded_edges\": {}, \"ingest.wal.segments\": {}, \"ingest.wal.bytes\": {}}}",
-                self.wal_replayed(),
-                self.lag_edges(),
-                self.last_applied_seq(),
-                self.durable_seq(),
-                self.folded_edges(),
-                self.wal_segments(),
-                self.wal_bytes(),
-            );
-        }
-        resp
     }
 }
 
@@ -818,30 +796,11 @@ fn reseed(
     }
 }
 
-/// Wraps a [`ServeHandle`] handler with the ingest routes: `POST
-/// /ingest` lands here, `GET /healthz` responses gain the `ingest.*`
-/// keys, everything else (including `POST /reload`) passes through.
-pub fn handler(handle: Arc<ServeHandle>, ingest: Arc<IngestState>) -> Handler {
-    let base = handle.into_handler();
-    Arc::new(move |req: &Request| {
-        if req.path == "/ingest" {
-            if req.method != "POST" {
-                return Response::error(405, &format!("method {} not allowed here", req.method));
-            }
-            return ingest.submit(&req.body);
-        }
-        let resp = base(req);
-        if req.method == "GET" && req.path == "/healthz" && resp.status == 200 {
-            return ingest.augment_healthz(resp);
-        }
-        resp
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hnsw::HnswConfig;
+    use crate::http::Request;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
@@ -1171,9 +1130,9 @@ mod tests {
     }
 
     #[test]
-    fn handler_routes_ingest_and_augments_healthz() {
+    fn router_serves_ingest_and_reports_it_on_healthz() {
         let (handle, ingest, worker, dir) = started("routes");
-        let h = handler(handle, ingest.clone());
+        let h = crate::api::router(handle, Some(ingest.clone()), None);
 
         let r = h(&Request {
             method: "POST".into(),

@@ -15,8 +15,11 @@
 //!   re-parsing text.
 //! * [`http`] + [`api`] — a multithreaded HTTP/1.1 server over
 //!   `std::net::TcpListener` (fixed worker pool, read timeouts, graceful
-//!   shutdown on SIGINT via [`signal`]) exposing `/neighbors`,
-//!   `/similarity`, `/predict`, `/healthz`, and `/metricz` as JSON, built
+//!   shutdown on SIGINT via [`signal`]) answering from one route table
+//!   ([`api::router`]): the reads `/healthz`, `/neighbors`,
+//!   `/similarity`, `/predict` and `/batch`; the introspection routes
+//!   `/metricz` and `/tracez`; and the control and feed routes `/reload`,
+//!   `/ingest` ([`ingest`]) and `/qualityz` ([`sentinel`]) — JSON built
 //!   on the `v2v-obs` JSON and metrics machinery. Resilience is built in:
 //!   per-request deadlines (408), request-size limits (413/431), bounded
 //!   queue load shedding (503 + `Retry-After`), per-request panic

@@ -23,11 +23,10 @@
 //! Everything is exported three ways: gauges on /metricz (Prometheus
 //! included) — `quality.recall_at_10`, `quality.neighbor_churn`,
 //! `quality.centroid_shift`, `quality.retrain_advised` — a `GET /qualityz`
-//! JSON endpoint (wired by wrapping the handler, like `/ingest`), and
+//! JSON endpoint (mounted by [`crate::api::router`]), and
 //! `quality.probe` / `quality.degraded` flight-recorder events.
 
 use crate::api::{ServeHandle, ServeState};
-use crate::http::{Handler, Request, Response};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -343,21 +342,6 @@ pub fn start(
     Ok((quality_state, probe_loop))
 }
 
-/// Wraps a handler with the `GET /qualityz` route (same pattern as the
-/// `/ingest` wrapper in [`crate::ingest::handler`]).
-pub fn handler(base: Handler, quality: Arc<QualityState>) -> Handler {
-    Arc::new(move |req: &Request| {
-        if req.path == "/qualityz" {
-            if req.method != "GET" {
-                return Response::error(405, &format!("method {} not allowed here", req.method));
-            }
-            v2v_obs::global_metrics().counter("serve.requests.qualityz").inc();
-            return Response::json(200, quality.to_json());
-        }
-        base(req)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,18 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn handler_serves_qualityz_and_falls_through() {
+    fn router_serves_qualityz_beside_the_reads() {
         let _serialized = gauge_lock();
         let (handle, quality) = started(small_config());
-        let wrapped = handler(Arc::clone(&handle).into_handler(), quality);
-        let mut req = Request {
+        let wrapped = crate::api::router(handle, None, Some(quality));
+        let mut req = crate::http::Request {
             method: "GET".into(),
             path: "/qualityz".into(),
-            query: Vec::new(),
-            headers: Vec::new(),
-            body: Vec::new(),
             request_id: "q-test".into(),
             keep_alive: true,
+            ..Default::default()
         };
         let resp = wrapped(&req);
         assert_eq!(resp.status, 200);

@@ -151,7 +151,6 @@ fn overload_sheds_503_with_retry_after_and_recovers() {
 
 #[test]
 fn slow_loris_gets_408_without_stalling_other_requests() {
-    let state = Arc::new(test_state());
     let config = ServerConfig {
         threads: 2,
         read_timeout: Duration::from_millis(400),
@@ -159,7 +158,8 @@ fn slow_loris_gets_408_without_stalling_other_requests() {
         watch_signals: false,
         ..Default::default()
     };
-    let (addr, shutdown, thread) = spawn(Server::bind(config, state.into_handler()).expect("bind"));
+    let handler = ServeHandle::new(test_state(), None).into_handler();
+    let (addr, shutdown, thread) = spawn(Server::bind(config, handler).expect("bind"));
 
     // The staller dribbles one byte per 100 ms — always inside the per-read
     // timeout, so only the wall-clock deadline can cut it off.
@@ -224,14 +224,14 @@ fn handler_panic_costs_one_request_not_the_worker() {
 
 #[test]
 fn split_headers_oversized_bodies_and_huge_heads() {
-    let state = Arc::new(test_state());
     let config = ServerConfig {
         threads: 2,
         max_body: 64,
         watch_signals: false,
         ..Default::default()
     };
-    let (addr, shutdown, thread) = spawn(Server::bind(config, state.into_handler()).expect("bind"));
+    let handler = ServeHandle::new(test_state(), None).into_handler();
+    let (addr, shutdown, thread) = spawn(Server::bind(config, handler).expect("bind"));
 
     // Headers split across every byte boundary still parse.
     {
@@ -383,7 +383,7 @@ fn injected_index_validation_failure_degrades_to_exact_scan() {
     // Degraded still answers correctly over the wire.
     let config = ServerConfig { threads: 2, watch_signals: false, ..Default::default() };
     let (addr, shutdown, thread) =
-        spawn(Server::bind(config, Arc::new(state).into_handler()).expect("bind"));
+        spawn(Server::bind(config, ServeHandle::new(state, None).into_handler()).expect("bind"));
     let (status, _, body) = get(addr, "/healthz");
     assert_eq!(status, 200);
     let v = json::parse(&body).unwrap();
@@ -419,7 +419,8 @@ fn ingest_refresh_swaps_state_with_zero_dropped_requests() {
     .expect("start ingest");
     let config = ServerConfig { threads: 4, watch_signals: false, ..Default::default() };
     let (addr, shutdown, thread) = spawn(
-        Server::bind(config, v2v_serve::ingest::handler(handle, ingest.clone())).expect("bind"),
+        Server::bind(config, v2v_serve::api::router(handle, Some(ingest.clone()), None))
+            .expect("bind"),
     );
 
     // Steady load on the ANN query path; every request must get a 200.

@@ -5,20 +5,21 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use v2v_embed::Embedding;
 use v2v_obs::json;
-use v2v_serve::{HnswConfig, Server, ServerConfig, ServeState};
+use v2v_serve::{Handler, HnswConfig, ServeHandle, ServeState, Server, ServerConfig};
 
-fn test_state() -> Arc<ServeState> {
+fn test_handler() -> Handler {
     // Two clusters on the x axis; vertex 5 is the unlabeled probe.
     let embedding = Embedding::from_flat(
         2,
         vec![1.0, 0.0, 1.0, 0.1, 0.9, -0.1, -1.0, 0.0, -1.0, 0.1, -0.9, -0.1],
     );
     let labels = vec![Some(0), Some(0), Some(0), Some(1), Some(1), None];
-    Arc::new(ServeState::new(embedding, HnswConfig::default(), Some(labels)).unwrap())
+    let state = ServeState::new(embedding, HnswConfig::default(), Some(labels)).unwrap();
+    ServeHandle::new(state, None).into_handler()
 }
 
 /// One raw HTTP exchange; returns (status, parsed JSON body). Asks for
@@ -51,7 +52,7 @@ fn serves_all_endpoints_then_shuts_down_cleanly() {
         watch_signals: false, // other tests in this process may fire signals
         ..Default::default()
     };
-    let server = Server::bind(config, test_state().into_handler()).expect("bind");
+    let server = Server::bind(config, test_handler()).expect("bind");
     let addr = server.local_addr();
     let shutdown = server.shutdown_flag();
     let running = std::thread::spawn(move || server.run());
@@ -127,7 +128,7 @@ fn serves_all_endpoints_then_shuts_down_cleanly() {
 #[test]
 fn concurrent_requests_are_all_answered() {
     let config = ServerConfig { threads: 4, watch_signals: false, ..Default::default() };
-    let server = Server::bind(config, test_state().into_handler()).expect("bind");
+    let server = Server::bind(config, test_handler()).expect("bind");
     let addr = server.local_addr();
     let shutdown = server.shutdown_flag();
     let running = std::thread::spawn(move || server.run());
@@ -165,7 +166,7 @@ fn signal_lock() -> MutexGuard<'static, ()> {
 /// wakes would hang here.
 fn stops_idle_server_within_a_second(addr: &str, stop: impl FnOnce(&AtomicBool)) {
     let config = ServerConfig { addr: addr.into(), threads: 2, ..Default::default() };
-    let server = Server::bind(config, test_state().into_handler()).expect("bind");
+    let server = Server::bind(config, test_handler()).expect("bind");
     let flag = server.shutdown_flag();
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || done.send(server.run()));
@@ -197,7 +198,7 @@ fn signal_stops_an_idle_server_within_a_second() {
 #[test]
 fn fresh_connections_are_served_without_an_accept_poll() {
     let config = ServerConfig { threads: 2, watch_signals: false, ..Default::default() };
-    let server = Server::bind(config, test_state().into_handler()).expect("bind");
+    let server = Server::bind(config, test_handler()).expect("bind");
     let addr = server.local_addr();
     let shutdown = server.shutdown_flag();
     let running = std::thread::spawn(move || server.run());

@@ -6,25 +6,25 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 use v2v_embed::Embedding;
 use v2v_obs::json;
-use v2v_serve::{HnswConfig, Server, ServerConfig, ServeState};
+use v2v_serve::{Handler, HnswConfig, ServeHandle, ServeState, Server, ServerConfig};
 
-fn test_state() -> Arc<ServeState> {
+fn test_handler() -> Handler {
     let embedding = Embedding::from_flat(
         2,
         vec![1.0, 0.0, 1.0, 0.1, 0.9, -0.1, -1.0, 0.0, -1.0, 0.1, -0.9, -0.1],
     );
-    Arc::new(ServeState::new(embedding, HnswConfig::default(), None).unwrap())
+    let state = ServeState::new(embedding, HnswConfig::default(), None).unwrap();
+    ServeHandle::new(state, None).into_handler()
 }
 
-/// Runs a server over [`test_state`] under `config`; returns its address
+/// Runs a server over [`test_handler`] under `config`; returns its address
 /// and the call that shuts it down and joins it.
 fn start(config: ServerConfig) -> (std::net::SocketAddr, impl FnOnce()) {
     let config = ServerConfig { threads: 2, watch_signals: false, ..config };
-    let server = Server::bind(config, test_state().into_handler()).expect("bind");
+    let server = Server::bind(config, test_handler()).expect("bind");
     let addr = server.local_addr();
     let shutdown = server.shutdown_flag();
     let running = std::thread::spawn(move || server.run());
@@ -267,7 +267,7 @@ fn access_log_records_request_ids_and_latencies() {
 
     // A destination that cannot be opened refuses to bind rather than
     // serving unlogged.
-    let refused = Server::bind(logged(&dir.join("no-such-dir/a.jsonl")), test_state().into_handler());
+    let refused = Server::bind(logged(&dir.join("no-such-dir/a.jsonl")), test_handler());
     assert!(refused.err().expect("bind must fail").to_string().contains("access log"));
     std::fs::remove_dir_all(&dir).ok();
 }

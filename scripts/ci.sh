@@ -51,6 +51,15 @@ if grep -rn 'bench_embed\|BENCH_embed' crates scripts --exclude=ci.sh; then
   echo "bench_embed or BENCH_embed is back (see above); track benchmark/'s embed.pairs_per_s" >&2
   exit 1
 fi
+# One route table: every endpoint is declared once in `crates/serve/src/api.rs`
+# and its instruments are resolved when the router is built, so no request
+# formats a metric name, guesses an endpoint from its path, or goes through
+# a per-feature handler wrapper.
+if grep -rn 'format!("serve\.' crates/serve/src \
+    || grep -rnE 'fn endpoint_name|fn augment_healthz|pub fn handler' crates/serve/src; then
+  echo "a per-request metric name, path heuristic or handler wrapper is back (see above)" >&2
+  exit 1
+fi
 
 # --- Server smoke test -----------------------------------------------------
 # Boot `v2v serve` on an ephemeral port against a tiny embedding, hit the
@@ -97,6 +106,16 @@ curl -sf "http://$addr/metricz" | grep -q '"serve.requests"'
 curl -s "http://$addr/neighbors?v=banana" | grep -q '"error"'
 # /healthz reports whether the index came up degraded (it must not here).
 curl -sf "http://$addr/healthz" | grep -q '"degraded": false'
+# Unknown paths are 404s that make no per-route instrument.
+for i in $(seq 1 50); do
+  [ "$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/zz$i")" = 404 ] \
+    || { echo "GET /zz$i was not a 404" >&2; exit 1; }
+done
+curl -sf "http://$addr/metricz" > "$smoke_dir/metricz.json"
+if grep -q 'serve\.requests\.zz\|serve\.latency\.zz' "$smoke_dir/metricz.json"; then
+  echo "unknown paths minted serve.requests.zz* / serve.latency.zz* instruments" >&2
+  exit 1
+fi
 
 # --- Resilience smoke: a stalled client must not stall anyone else ---------
 # Hold a connection open that sends an incomplete request and nothing more
