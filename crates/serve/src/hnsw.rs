@@ -28,15 +28,19 @@
 //!   fraction stays bounded — recall is validated against the exact scan
 //!   in the property tests. The *apply phase* wires each new vertex's own
 //!   links serially (a copy), then groups the round's reverse-link pushes
-//!   by `(target, layer)`. A target is always a vertex of an earlier
-//!   round and a group touches one link list and reads only vectors, so
-//!   groups are independent; inside a group pushes keep plan order, so
-//!   folding it replays exactly what pushing them one vertex at a time
-//!   would do. A round lands dozens of pushes on the same list, each
-//!   overflow re-running the diversity heuristic over nearly the same
-//!   members; the fold computes `d(target, member)` once and memoises the
-//!   heuristic's member-to-member distances for the life of the group,
-//!   which is where two thirds of the build's distance evaluations went.
+//!   by `(target, layer)`. A target is a vertex of an earlier round or,
+//!   in [`patched`](HnswIndex::patched)'s relink round, a moved row of the
+//!   same round whose own list the serial copy has already rewritten; a
+//!   group touches one link list and reads only vectors, so groups are
+//!   independent. Inside a group pushes keep plan order, so folding it
+//!   replays exactly what pushing them one vertex at a time would do. The
+//!   same two phases patch a live index: every moved row is relinked in
+//!   one round, so a WAL replay spreads over the cores like a build. A
+//!   round lands dozens of pushes on the same list, each overflow
+//!   re-running the diversity heuristic over nearly the same members; the
+//!   fold computes `d(target, member)` once and memoises the heuristic's
+//!   member-to-member distances for the life of the group, which is where
+//!   two thirds of the build's distance evaluations went.
 //!   The graph does not depend on the thread count — but it does depend
 //!   on how the heuristic's one `sort_unstable_by` resolves exact distance
 //!   ties (duplicate rows produce them), so that sort's element type,
@@ -650,9 +654,11 @@ impl HnswIndex {
     /// distance evaluations. A member's distance to the target is computed
     /// once, at the first overflow (a member pushed later brings it from
     /// its plan), and member-to-member distances are kept in `memo` while
-    /// both members stay on the list. `None` when the list already held
-    /// every pushed vertex (`patched` re-linking a vertex whose neighbors
-    /// still link back).
+    /// both members stay on the list. The target's list is read as the
+    /// round's serial copy left it, which for a row `patched` moves in
+    /// the same round is its recomputed list. `None` when the list already
+    /// held every pushed vertex (`patched` re-linking a vertex whose
+    /// neighbors still link back).
     fn fold_pushes(&self, pushes: &[Push]) -> Option<Vec<u32>> {
         let (target, layer) = (pushes[0].target as usize, pushes[0].layer as usize);
         let cap = self.m_for(layer);
@@ -691,7 +697,7 @@ impl HnswIndex {
                 .map(|(slot, &id)| (slot, self.dist_to(self.vector(target), id as usize))),
         );
         // Only a later overflow reads what this one memoises: a group's
-        // last push (every push of `patched`) goes without.
+        // last push goes without.
         let memoise = rest.len() > 1;
         let mut memo = vec![f32::NAN; if memoise { stride * stride } else { 0 }];
         let mut on_list = vec![false; if memoise { stride } else { 0 }];
@@ -751,15 +757,28 @@ impl HnswIndex {
     /// added, re-linking only the touched vertices instead of rebuilding
     /// the whole graph.
     ///
-    /// Updated vertices keep their level; their outgoing links are
-    /// dropped and recomputed against the current graph with the same
-    /// search-then-link procedure `build` uses. Reverse links held *by*
-    /// other vertices toward a moved vertex are left in place — under
-    /// fine-tuning, vectors move slightly, so those links stay
-    /// near-optimal and searches remain correct (links only ever guide
-    /// the beam; distances are always recomputed from the patched
-    /// vectors). Appended vertices draw their level from the build seed
-    /// XOR their id, keeping patch results independent of batch order.
+    /// Updated vertices keep their level. All of them are planned in one
+    /// round, in parallel, against the pre-patch graph with the patched
+    /// vectors — the same search-then-link procedure `build` uses — and
+    /// the apply phase replaces each one's outgoing links wholesale. The
+    /// plans run over the *old* links of the rows being relinked: they
+    /// keep the graph connected during the search, which matters when a
+    /// moved vertex is the entry point. A plan can pick another moved
+    /// row; its reverse link then folds into that row's recomputed list.
+    /// Reverse links held *by* untouched vertices toward a moved one are
+    /// left in place — under fine-tuning, vectors move slightly, so those
+    /// links stay near-optimal and searches remain correct (links only
+    /// ever guide the beam; distances are always recomputed from the
+    /// patched vectors).
+    ///
+    /// Appended vertices draw their level from the build seed XOR their
+    /// id, keeping patch results independent of batch order, and join one
+    /// at a time, each planned against a graph that holds the ones before
+    /// it. Unlike a moved row, a new row has no links pointing at it yet:
+    /// planned in one round, a batch of new rows that sit close together
+    /// and away from the graph would not see each other, and the diversity
+    /// heuristic would drop most of them from the lists they push into,
+    /// leaving them unreachable.
     ///
     /// Falls back to a full [`build`](HnswIndex::build) when the base
     /// index runs in brute-force mode, which also handles growth across
@@ -769,6 +788,17 @@ impl HnswIndex {
     /// Panics if an update id is out of range, an updated row or
     /// `appended` has the wrong width, or ids repeat within `updates`.
     pub fn patched(&self, updates: &[(usize, Vec<f32>)], appended: &[f32]) -> HnswIndex {
+        self.patched_on(par::threads(), updates, appended)
+    }
+
+    /// [`patched`](HnswIndex::patched) on a given number of threads; the
+    /// graph is the same for every count.
+    fn patched_on(
+        &self,
+        threads: usize,
+        updates: &[(usize, Vec<f32>)],
+        appended: &[f32],
+    ) -> HnswIndex {
         assert_eq!(appended.len() % self.dims, 0, "appended buffer not a multiple of dims");
         let n_old = self.len();
         let n_new = n_old + appended.len() / self.dims;
@@ -790,7 +820,7 @@ impl HnswIndex {
         }
 
         if !self.is_graph() {
-            return HnswIndex::build(self.dims, vectors, self.config.clone());
+            return HnswIndex::build_on(threads, self.dims, vectors, self.config.clone());
         }
 
         let start = Instant::now();
@@ -810,18 +840,8 @@ impl HnswIndex {
             assert!(!seen[id], "duplicate update id {id}");
             seen[id] = true;
         }
-        // Plans run against the *old* links of the vertex being relinked
-        // (they keep the graph connected during the search — important
-        // when the moved vertex is the entry point); `apply_round` then
-        // replaces them wholesale with the recomputed selection. Each
-        // vertex is a round of its own, so the next plan sees its links.
-        let relink = |idx: &mut HnswIndex, id: usize| {
-            let plan = idx.plan_insert(id);
-            idx.apply_round(vec![plan], 1);
-        };
-        for &(id, _) in updates {
-            relink(&mut idx, id);
-        }
+        let plans = par::map_on(threads, updates.len(), |i| idx.plan_insert(updates[i].0));
+        idx.apply_round(plans, threads);
 
         for id in n_old..n_new {
             let mut rng =
@@ -829,7 +849,8 @@ impl HnswIndex {
             let level = draw_level(&mut rng, idx.config.m);
             idx.levels.push(level);
             idx.links.push(vec![Vec::new(); level + 1]);
-            relink(&mut idx, id);
+            let plan = idx.plan_insert(id);
+            idx.apply_round(vec![plan], 1);
         }
         idx.build_time = start.elapsed();
         idx
@@ -1156,6 +1177,76 @@ mod tests {
         }
     }
 
+    /// Recall@k that counts ties: a result is a hit when it sits at or
+    /// under the exact `k`-th distance, so duplicate rows cannot turn a
+    /// correct answer into a miss.
+    fn tie_aware_recall(index: &HnswIndex, queries: &[Vec<f32>], k: usize) -> f64 {
+        let mut hits = 0usize;
+        for q in queries {
+            let kth = index.search_exact(q, k).last().map_or(f32::INFINITY, |&(_, d)| d);
+            hits += index.search_ef(q, k, 64).iter().filter(|&&(_, d)| d <= kth).count();
+        }
+        hits as f64 / (queries.len() * k) as f64
+    }
+
+    /// A patch too large to be a nudge: a quarter of the rows move, a
+    /// tenth of those into another cluster, and 100 rows join, half of
+    /// them in the existing clusters and half as a cluster of their own.
+    /// Every moved row is relinked against a graph that still holds the
+    /// others at their old places, and a new cluster has no member in
+    /// the graph it is planned against, so this is where a blind round
+    /// would show.
+    #[test]
+    fn large_patch_keeps_recall_and_finds_every_touched_row() {
+        let (n, dims, clusters) = (3000, 16, 24);
+        let data = clustered(n, dims, clusters, 0x1A46E);
+        let cfg = small_config(Metric::Cosine);
+        let base = HnswIndex::build(dims, data.clone(), cfg.clone());
+        let mut rng = Rng::seed_from_u64(0x9A7C4);
+        let center: Vec<f32> = (0..dims).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mut jitter = |row: &[f32], amp: f32| -> Vec<f32> {
+            row.iter().map(|x| x + rng.gen_range(-amp..amp)).collect()
+        };
+        let row = |id: usize| &data[id * dims..(id + 1) * dims];
+        // Rows `4i` move; every tenth of them jumps to row `4i + 1`'s
+        // cluster (the fixture deals rows to clusters round-robin).
+        let updates: Vec<(usize, Vec<f32>)> = (0..n / 4)
+            .map(|i| {
+                let id = 4 * i;
+                let moved =
+                    if i % 10 == 0 { jitter(row(id + 1), 0.1) } else { jitter(row(id), 0.05) };
+                (id, moved)
+            })
+            .collect();
+        let mut appended: Vec<f32> = (0..50).flat_map(|i| jitter(row(i * 29 % n), 0.1)).collect();
+        for _ in 0..50 {
+            appended.extend(jitter(&center, 0.05));
+        }
+
+        let patched = base.patched(&updates, &appended);
+        patched.validate().unwrap();
+        let mut full = data.clone();
+        for (id, moved) in &updates {
+            full[id * dims..(id + 1) * dims].copy_from_slice(moved);
+        }
+        full.extend_from_slice(&appended);
+        let rebuilt = HnswIndex::build(dims, full, cfg);
+
+        let queries: Vec<Vec<f32>> =
+            (0..patched.len()).step_by(7).map(|i| patched.vector(i).to_vec()).collect();
+        let (r_patched, r_full) =
+            (tie_aware_recall(&patched, &queries, 10), tie_aware_recall(&rebuilt, &queries, 10));
+        assert!(
+            r_patched >= 0.9 && r_patched >= r_full - 0.05,
+            "patched recall {r_patched}, full rebuild {r_full}"
+        );
+        let touched = updates.iter().map(|&(id, _)| id).chain(n..n + 100);
+        for id in touched {
+            let got = patched.search(patched.vector(id), 1);
+            assert_eq!(got[0].0, id, "row {id} must be its own nearest neighbour");
+        }
+    }
+
     #[test]
     fn patched_entry_point_update_keeps_graph_searchable() {
         let (n, dims) = (800, 8);
@@ -1288,18 +1379,19 @@ mod tests {
         (dims, data, updates, clustered(5, dims, 24, 0xA99E4D))
     }
 
-    /// Pins captured by running this body at the last commit whose apply
-    /// phase pushed reverse links one vertex at a time: twelve doubling
-    /// rounds of `build` and the 45 single-vertex rounds of `patched`
-    /// must leave the bytes that code left. Cosine distances round
-    /// differently per kernel backend, so there is a pin per backend (the
-    /// portable unrolled one cannot be forced from a test and goes
-    /// unpinned).
+    /// The build pins were captured at the last commit whose apply phase
+    /// pushed reverse links one vertex at a time: twelve doubling rounds
+    /// of `build` must leave the bytes that code left. The patch pins
+    /// were captured when `patched` began relinking its 40 moved rows in
+    /// one round (before, each was a round of its own and saw the rows
+    /// relinked before it); its 5 appended rows are still a round each. Cosine distances round differently per kernel backend, so
+    /// there is a pin per backend (the portable unrolled one cannot be
+    /// forced from a test and goes unpinned).
     #[test]
     fn cosine_build_and_patch_snapshot_bytes_are_pinned() {
         let (want_built, want_patched) = match kernels::backend() {
-            kernels::Backend::Avx2Fma => (0x96ca_88fb_9ebe_0236, 0xa618_e1f1_ddac_6001),
-            kernels::Backend::Scalar => (0xb0c2_4b84_dcae_2510, 0x045b_7430_b927_7352),
+            kernels::Backend::Avx2Fma => (0x96ca_88fb_9ebe_0236, 0xc036_343e_eac8_e8ea),
+            kernels::Backend::Scalar => (0xb0c2_4b84_dcae_2510, 0xb6a4_8095_5169_76dd),
             kernels::Backend::Unrolled => return,
         };
         let (dims, data, updates, appended) = duplicate_rows_fixture();
@@ -1318,16 +1410,24 @@ mod tests {
 
     #[test]
     fn graph_does_not_depend_on_the_thread_count() {
-        let (dims, data, _, _) = duplicate_rows_fixture();
+        let (dims, data, updates, appended) = duplicate_rows_fixture();
         let build = |threads| {
             HnswIndex::build_on(threads, dims, data.clone(), small_config(Metric::Cosine))
         };
         let one = build(1);
         one.validate().unwrap();
+        let patched_one = one.patched_on(1, &updates, &appended);
+        patched_one.validate().unwrap();
         for threads in [2, 5] {
             let many = build(threads);
             assert_eq!(many.links, one.links, "{threads} threads");
             assert_eq!((many.entry, many.max_level), (one.entry, one.max_level));
+            let patched = one.patched_on(threads, &updates, &appended);
+            assert_eq!(patched.links, patched_one.links, "patch on {threads} threads");
+            assert_eq!(
+                (patched.entry, patched.max_level),
+                (patched_one.entry, patched_one.max_level)
+            );
         }
     }
 

@@ -38,6 +38,7 @@ use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 use v2v_base::rng::{mix, Rng};
 use v2v_embed::{fine_tune, EmbedConfig, Embedding};
 use v2v_graph::{DeltaGraph, GraphBuilder, VertexId};
@@ -291,6 +292,19 @@ fn parse_edges(body: &[u8], vertex_limit: u64) -> Result<Vec<EdgeUpdate>, String
     Ok(edges)
 }
 
+/// Where one refresh cycle's time went, phase by phase; the boot log
+/// reports it for the WAL replay.
+#[derive(Clone, Copy, Default)]
+struct RefreshSplit {
+    /// Overlay materialization and the affected-neighborhood walks.
+    walks: Duration,
+    fine_tune: Duration,
+    /// The index patch (or the rebuild after a reload).
+    patch: Duration,
+    /// The churn report and the new serving state.
+    publish: Duration,
+}
+
 /// The refresh worker's private state: the graph overlay, the full
 /// embedding it evolves, and everything needed to rebuild serving state.
 struct RefreshEngine {
@@ -305,6 +319,8 @@ struct RefreshEngine {
     /// Edges folded into `delta` over this engine's lifetime.
     folded: u64,
     round: u64,
+    /// The last successful refresh cycle's phase times.
+    split: RefreshSplit,
 }
 
 impl RefreshEngine {
@@ -330,6 +346,7 @@ impl RefreshEngine {
             next_apply_seq: 1,
             folded: 0,
             round: 0,
+            split: RefreshSplit::default(),
         })
     }
 
@@ -384,7 +401,7 @@ impl RefreshEngine {
         touched: &[VertexId],
         current_index: &HnswIndex,
     ) -> Result<ServeState, String> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let affected = self.delta.neighborhood(touched);
         let graph = self.delta.materialize().map_err(|e| e.to_string())?;
         let n = graph.num_vertices();
@@ -414,6 +431,7 @@ impl RefreshEngine {
             return Err("refresh produced no walks over the affected neighborhood".to_string());
         }
         let corpus = WalkCorpus::from_walks(walks, n);
+        let walked = Instant::now();
 
         let mut trainable = vec![false; n];
         for &v in &affected {
@@ -431,6 +449,7 @@ impl RefreshEngine {
             ..Default::default()
         };
         let (tuned, stats) = fine_tune(&self.embedding, &corpus, &embed_config, &trainable)?;
+        let tuned_at = Instant::now();
 
         // Patch the live index in place when it matches the embedding the
         // refresh evolved from; anything else (an operator /reload swapped
@@ -446,6 +465,7 @@ impl RefreshEngine {
         } else {
             HnswIndex::build(dims, tuned.as_flat().to_vec(), self.hnsw.clone())
         };
+        let patched_at = Instant::now();
 
         // Per-batch quality report: how far did this refresh move the
         // neighborhoods it touched? Old index + old rows vs new index +
@@ -495,6 +515,12 @@ impl RefreshEngine {
         let flat = tuned.as_flat().to_vec();
         let state = ServeState::from_parts(tuned, index, labels)?;
         self.embedding = Embedding::from_flat(dims, flat);
+        self.split = RefreshSplit {
+            walks: walked - t0,
+            fine_tune: tuned_at - walked,
+            patch: patched_at - tuned_at,
+            publish: patched_at.elapsed(),
+        };
 
         let metrics = v2v_obs::global_metrics();
         metrics.gauge("ingest.affected_vertices").set(affected.len() as f64);
@@ -555,6 +581,7 @@ pub fn start(
     let mut lineage = handle.state();
     if let Some(last) = records.last() {
         last_applied = last.seq;
+        let t0 = Instant::now();
         match engine.apply_batch(&records, lineage.index()) {
             Ok(Some(state)) => {
                 lineage = handle.install(state);
@@ -562,8 +589,15 @@ pub fn start(
             Ok(None) => {}
             Err(e) => return Err(format!("wal replay failed: {e}")),
         }
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let split = engine.split;
         obs_info!(
-            "ingest: replayed {replayed} WAL records (through seq {last_applied}) before serving"
+            "ingest: replayed {replayed} WAL records (through seq {last_applied}) in {:.0} ms: walks {:.0}, fine-tune {:.0}, patch {:.0}, publish {:.0}",
+            ms(t0.elapsed()),
+            ms(split.walks),
+            ms(split.fine_tune),
+            ms(split.patch),
+            ms(split.publish)
         );
     }
     let metrics = v2v_obs::global_metrics();
@@ -943,52 +977,60 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
-    /// The crash-consistency core: ACKed edges survive a hard restart.
-    /// Every record appended before the "crash" replays at the next
-    /// `start` (before serving), and the recovered state answers
-    /// /neighbors exactly like a process that never crashed.
-    #[test]
-    fn restart_replays_wal_and_matches_uninterrupted_run() {
-        let dir = temp_dir("replay");
-        let body = "{\"edges\": [[12, 0], [12, 1], [0, 7], [3, 9]]}";
+    /// `clusters` tight clusters of `n` rows in 8 dims, dealt round-robin:
+    /// past `brute_force_threshold`, so the index is a real graph.
+    fn clustered_state(n: usize, clusters: usize) -> ServeState {
+        let dims = 8;
+        let mut rng = Rng::seed_from_u64(0xC1A55);
+        let centers: Vec<f32> =
+            (0..clusters * dims).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let flat = (0..n * dims)
+            .map(|i| centers[(i / dims) % clusters * dims + i % dims] + rng.gen_range(-0.1f32..0.1))
+            .collect();
+        ServeState::new(Embedding::from_flat(dims, flat), HnswConfig::default(), None).unwrap()
+    }
+
+    /// Streams `body` (`edges` edges over `vertices` vertices once
+    /// applied) into a server built from `base`, "crashes" it, restarts on
+    /// the same WAL and checks that the replayed state answers
+    /// `/neighbors` for every vertex byte for byte like a never-crashed
+    /// control that took the same edges live.
+    fn assert_replay_matches_uninterrupted_run(
+        tag: &str,
+        base: impl Fn() -> ServeState,
+        body: &str,
+        edges: u64,
+        vertices: usize,
+    ) {
+        let dir = temp_dir(tag);
+        let config = IngestConfig { epochs: 1, ..Default::default() };
 
         // First life: ingest, wait for the refresh, then "crash" (drop
         // everything without any graceful persistence).
         {
-            let handle = ServeHandle::new(seed_state(), None);
-            let (ingest, worker) =
-                start(handle, &dir, IngestConfig { epochs: 1, ..Default::default() }).unwrap();
+            let (ingest, worker) = start(ServeHandle::new(base(), None), &dir, config).unwrap();
             assert_eq!(post(&ingest, body).status, 200);
-            wait_applied(&ingest, 4);
+            wait_applied(&ingest, edges);
             ingest.shutdown();
             worker.join().unwrap();
         }
 
         // Second life: same WAL dir, fresh base state.
-        let restarted = ServeHandle::new(seed_state(), None);
-        let (ingest, worker) = start(
-            restarted.clone(),
-            &dir,
-            IngestConfig { epochs: 1, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(ingest.wal_replayed(), 4);
-        assert_eq!(ingest.last_applied_seq(), 4);
+        let restarted = ServeHandle::new(base(), None);
+        let (ingest, worker) = start(restarted.clone(), &dir, config).unwrap();
+        assert_eq!(ingest.wal_replayed(), edges);
+        assert_eq!(ingest.last_applied_seq(), edges);
+        assert_eq!(restarted.state().vectors().len(), vertices);
 
         // A never-crashed control: fresh base + the same edges via live
         // ingest into a different WAL dir.
-        let control_dir = temp_dir("replay_control");
-        let control = ServeHandle::new(seed_state(), None);
-        let (control_ingest, control_worker) = start(
-            control.clone(),
-            &control_dir,
-            IngestConfig { epochs: 1, ..Default::default() },
-        )
-        .unwrap();
+        let control_dir = temp_dir(&format!("{tag}_control"));
+        let control = ServeHandle::new(base(), None);
+        let (control_ingest, control_worker) = start(control.clone(), &control_dir, config).unwrap();
         assert_eq!(post(&control_ingest, body).status, 200);
-        wait_applied(&control_ingest, 4);
+        wait_applied(&control_ingest, edges);
 
-        for v in 0..13usize {
+        for v in 0..vertices {
             let req = Request {
                 method: "GET".into(),
                 path: "/neighbors".into(),
@@ -1007,6 +1049,80 @@ mod tests {
         control_worker.join().unwrap();
         std::fs::remove_dir_all(dir).unwrap();
         std::fs::remove_dir_all(control_dir).unwrap();
+    }
+
+    /// The crash-consistency core: ACKed edges survive a hard restart.
+    /// Every record appended before the "crash" replays at the next
+    /// `start` (before serving), and the recovered state answers
+    /// /neighbors exactly like a process that never crashed.
+    #[test]
+    fn restart_replays_wal_and_matches_uninterrupted_run() {
+        let body = "{\"edges\": [[12, 0], [12, 1], [0, 7], [3, 9]]}";
+        assert_replay_matches_uninterrupted_run("replay", seed_state, body, 4, 13);
+    }
+
+    /// The same contract with a real graph under the index: 640 rows
+    /// in 8 clusters and 300 streamed edges, 296 inside the clusters and
+    /// 4 that add vertices, so the replay relinks and appends through
+    /// `HnswIndex::patched`'s graph path rather than rescanning.
+    #[test]
+    fn graph_mode_restart_replays_wal_and_matches_uninterrupted_run() {
+        let (n, clusters) = (640, 8);
+        assert!(clustered_state(n, clusters).index().is_graph());
+        let mut edges: Vec<String> = (0..296)
+            .map(|i| {
+                let v = i * 7 % n;
+                format!("[{v}, {}]", (v + clusters * (1 + i % 5)) % n)
+            })
+            .collect();
+        edges.extend((n..n + 4).map(|v| format!("[{v}, {}]", v % clusters)));
+        let body = format!("{{\"edges\": [{}]}}", edges.join(", "));
+        assert_replay_matches_uninterrupted_run(
+            "replay_graph",
+            || clustered_state(n, clusters),
+            &body,
+            300,
+            n + 4,
+        );
+    }
+
+    /// The refresh worker runs at background priority, and the helper
+    /// threads its index patch fans out to must too: a patch on the
+    /// request path's priority would put the replay's CPU burst back in
+    /// the request tail. Linux threads inherit the creating thread's
+    /// scheduling policy and nice value; this reads both back from
+    /// `/proc/thread-self/stat` (fields 41 and 19).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn par_helpers_inherit_the_refresh_workers_priority() {
+        fn policy_and_nice() -> (u32, i32) {
+            let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+            // Fields from 3 on follow the parenthesised thread name.
+            let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+            (fields[41 - 3].parse().unwrap(), fields[19 - 3].parse().unwrap())
+        }
+        const SCHED_IDLE: u32 = 5;
+        std::thread::spawn(|| {
+            deprioritize_current_thread();
+            let parent = policy_and_nice();
+            assert!(
+                parent.0 == SCHED_IDLE || parent.1 == 19,
+                "deprioritize_current_thread left the thread at {parent:?}"
+            );
+            let me = std::thread::current().id();
+            let helpers =
+                v2v_base::par::map_on(2, 64, |_| (std::thread::current().id(), policy_and_nice()));
+            for (id, helper) in helpers {
+                assert_ne!(id, me, "par::map_on(2, 64, ..) must run on helper threads");
+                if parent.0 == SCHED_IDLE {
+                    assert_eq!(helper.0, SCHED_IDLE, "a helper left SCHED_IDLE");
+                } else {
+                    assert_eq!(helper.1, parent.1, "a helper lost the worker's nice value");
+                }
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     /// Sequence assignment and enqueueing happen under one lock, so

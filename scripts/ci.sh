@@ -308,6 +308,56 @@ cmp "$smoke_dir/one-core.v2s" "$smoke_dir/all-cores.v2s" \
   || { echo "v2v index wrote different bytes on one core and on $(nproc)" >&2; exit 1; }
 echo "thread-count smoke test (index, project, communities): ok"
 
+# Restart in graph mode: 2 400 vectors is past the exact-scan threshold, so
+# the WAL replay relinks the moved rows and inserts the new ones through the
+# HNSW graph, on helper threads. Stream ~200 edges, kill -9, restart on the
+# same --wal-dir; one core or all, the replayed index must answer alike.
+seq 0 197 | awk '{ v = ($1 * 13) % 2400; print v, (v + 1) % 2400 }' > "$smoke_dir/stream-2400.txt"
+printf '2400 0\n2401 1\n' >> "$smoke_dir/stream-2400.txt"
+serve_graph_wal() {   # <tag> [command prefix...]: serve one-core.v2s on wal-<tag>
+  local tag=$1; shift
+  "$@" ./target/release/v2v serve --embedding "$smoke_dir/one-core.v2s" \
+    --wal-dir "$smoke_dir/wal-$tag" --port 0 \
+    > "$smoke_dir/$tag.log" 2> "$smoke_dir/$tag.err" &
+  server_pid=$!
+  addr=""
+  for _ in $(seq 1 300); do
+    addr=$(sed -n 's/^listening on //p' "$smoke_dir/$tag.log")
+    [ -n "$addr" ] && break
+    kill -0 "$server_pid" 2>/dev/null || { cat "$smoke_dir/$tag.err" >&2; exit 1; }
+    sleep 0.1
+  done
+  [ -n "$addr" ] || { echo "graph-mode server ($tag) never reported its address" >&2; exit 1; }
+}
+replay_graph_mode() {   # <tag> [command prefix...]: stream, kill -9, restart, dump /neighbors
+  local tag=$1
+  serve_graph_wal "$@"
+  ./target/release/v2v ingest --input "$smoke_dir/stream-2400.txt" --addr "$addr" \
+    > "$smoke_dir/$tag.ingest" 2> /dev/null
+  local acked
+  acked=$(sed -n 's/^acked \([0-9]*\) edges.*/\1/p' "$smoke_dir/$tag.ingest")
+  [ "$acked" = 200 ] || { echo "graph-mode ingest ($tag) acked '$acked' of 200" >&2; exit 1; }
+  kill -9 "$server_pid"
+  wait "$server_pid" 2>/dev/null || true
+  server_pid=""
+  serve_graph_wal "$@"
+  curl -sf "http://$addr/healthz" | grep -q "\"ingest.folded_edges\": $acked," \
+    || { echo "graph-mode restart ($tag) did not fold all $acked ACKed edges" >&2; exit 1; }
+  grep -qE 'replayed 200 WAL records .* in [0-9]+ ms: walks [0-9]+, fine-tune [0-9]+, patch [0-9]+, publish [0-9]+' \
+    "$smoke_dir/$tag.err" \
+    || { echo "graph-mode restart ($tag) logged no replay phase split" >&2; cat "$smoke_dir/$tag.err" >&2; exit 1; }
+  for v in $(seq 0 97 2399) 2400 2401; do
+    curl -sf "http://$addr/neighbors?v=$v&k=10"; echo
+  done > "$smoke_dir/$tag.neighbors"
+  kill -INT "$server_pid"; wait "$server_pid"; server_pid=""
+}
+replay_graph_mode replay-one-core taskset -c "$first_cpu"
+replay_graph_mode replay-all-cores
+cmp "$smoke_dir/replay-one-core.neighbors" "$smoke_dir/replay-all-cores.neighbors" \
+  || { echo "a graph-mode WAL replay answered differently on one core and on $(nproc)" >&2; exit 1; }
+grep -h 'replayed 200 WAL records' "$smoke_dir/replay-one-core.err" "$smoke_dir/replay-all-cores.err"
+echo "graph-mode replay smoke test (one core vs all): ok"
+
 # --- Durable ingest smoke: stream, SIGKILL mid-ingest, restart, recover -----
 # The crash-consistency contract in miniature: every edge the server ACKs
 # (200 from POST /ingest) must survive a kill -9, because the ACK follows
