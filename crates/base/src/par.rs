@@ -37,13 +37,29 @@ pub fn map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
 /// [`map`] on a given number of threads; the result is the same for every
 /// count.
 pub fn map_on<R: Send>(threads: usize, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    map_with_on(threads, n, || (), |_, i| f(i))
+}
+
+/// [`map_on`] where every thread that runs items makes one `S` with
+/// `init` and lends it to each item it runs: scratch buffers that an
+/// item would otherwise allocate afresh. An item must leave nothing in
+/// `S` that changes what a later item returns.
+pub fn map_with_on<S, R: Send>(
+    threads: usize,
+    n: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
     if threads < 2 || n < MIN_ITEMS {
-        return (0..n).map(f).collect();
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
     }
     // Items cost what they cost (a beam search, a walk that dead-ends), so
     // equal shares would not be equal work: many small blocks per thread.
     let block = (n / (threads * 8)).max(1);
-    let parts = run(threads, n, block, |range| range.map(&f).collect::<Vec<R>>());
+    let parts = run(threads, n, block, init, |state, range| {
+        range.map(|i| f(state, i)).collect::<Vec<R>>()
+    });
     parts.into_iter().flatten().collect()
 }
 
@@ -64,30 +80,34 @@ pub fn blocks_on<R: Send>(
     if threads < 2 || n < MIN_ITEMS {
         return (0..n).step_by(block).map(|lo| f(lo..(lo + block).min(n))).collect();
     }
-    run(threads, n, block, f)
+    run(threads, n, block, || (), |_, range| f(range))
 }
 
 /// Runs `f` over `0..n` in blocks of `block`; results in block order.
 /// Workers claim blocks off a shared counter (`Relaxed`: it publishes
 /// nothing but block numbers), so the result never depends on scheduling.
-fn run<R: Send>(
+/// Each worker makes its own state with `init` and hands it to every
+/// block it claims.
+fn run<S, R: Send>(
     threads: usize,
     n: usize,
     block: usize,
-    f: impl Fn(Range<usize>) -> R + Sync,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, Range<usize>) -> R + Sync,
 ) -> Vec<R> {
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads.min(n.div_ceil(block)))
             .map(|_| {
                 scope.spawn(|| {
+                    let mut state = init();
                     let mut mine = Vec::new();
                     loop {
                         let lo = next.fetch_add(block, Ordering::Relaxed);
                         if lo >= n {
                             return mine;
                         }
-                        mine.push((lo, f(lo..(lo + block).min(n))));
+                        mine.push((lo, f(&mut state, lo..(lo + block).min(n))));
                     }
                 })
             })
@@ -114,6 +134,34 @@ mod tests {
                 assert_eq!(map_on(threads, n, |i| i * 3), want, "n {n}, {threads} threads");
             }
             assert_eq!(map(n, |i| i * 3), want);
+        }
+    }
+
+    /// Each thread's state serves every item that thread runs; the items
+    /// come back in input order whatever the count.
+    #[test]
+    fn map_with_lends_one_state_per_thread() {
+        let inits = AtomicUsize::new(0);
+        for n in SIZES {
+            let want: Vec<usize> = (0..n).map(|i| i * 3).collect();
+            for threads in [1, 2, 5] {
+                inits.store(0, Ordering::Relaxed);
+                let got = map_with_on(
+                    threads,
+                    n,
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        Vec::<usize>::new()
+                    },
+                    |seen, i| {
+                        seen.push(i);
+                        i * 3
+                    },
+                );
+                assert_eq!(got, want, "n {n}, {threads} threads");
+                let made = inits.load(Ordering::Relaxed);
+                assert!(made <= threads.max(1), "n {n}, {threads} threads: {made} states");
+            }
         }
     }
 

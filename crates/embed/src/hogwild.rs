@@ -157,11 +157,28 @@ impl HogwildMatrix {
     pub fn to_vec(&self) -> Vec<f32> {
         self.data.iter().map(|a| f32::from_bits(a.load(Ordering::Relaxed))).collect()
     }
+
+    /// The whole matrix as a plain `Vec<f32>` (row-major) in the buffer it
+    /// already owns: `AtomicU32` and `f32` have one size and alignment, so
+    /// collecting the mapped cells reuses the allocation instead of
+    /// copying it (`into_vec_keeps_the_buffer`).
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data.into_iter().map(|a| f32::from_bits(a.into_inner())).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn into_vec_keeps_the_buffer() {
+        let m = HogwildMatrix::from_vec(3, 2, vec![1.0, -2.0, 0.5, 0.0, f32::MIN, 7.25]);
+        let (want, at) = (m.to_vec(), m.data.as_ptr() as usize);
+        let v = m.into_vec();
+        assert_eq!(v, want);
+        assert_eq!(v.as_ptr() as usize, at, "into_vec copied the buffer");
+    }
 
     #[test]
     fn get_set_roundtrip() {

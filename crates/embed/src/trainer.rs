@@ -408,7 +408,7 @@ pub fn train_source_with_checkpoints<S: WalkSource + ?Sized>(
     drop(train_span);
     stats.concurrency = workers.report();
 
-    Ok((Embedding::from_flat(dim, syn0.to_vec()), stats))
+    Ok((Embedding::from_flat(dim, syn0.into_vec()), stats))
 }
 
 /// Partial retraining for streaming updates: warm-starts `syn0` from
@@ -536,7 +536,7 @@ pub fn fine_tune<S: WalkSource + ?Sized>(
             }
         }
     }
-    Ok((Embedding::from_flat(dim, syn0.to_vec()), stats))
+    Ok((Embedding::from_flat(dim, syn0.into_vec()), stats))
 }
 
 /// Shared references for one training run.
@@ -1200,9 +1200,15 @@ mod checkpoint_tests {
     use std::sync::Mutex;
     use v2v_fault::{Fault, FaultPlan};
 
-    /// Fault points are process-global; tests that arm one hold this so
-    /// they cannot see each other's plans.
+    /// Fault points are process-global and count every checkpoint write
+    /// in the process: the test that arms `train.checkpoint` holds this,
+    /// and so does every test that writes checkpoints, so no write of
+    /// another test can use up or trip that plan.
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+        FAULT_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("v2v_ckpt_{}_{name}", std::process::id()));
@@ -1213,6 +1219,7 @@ mod checkpoint_tests {
 
     #[test]
     fn checkpointing_does_not_change_the_result() {
+        let _guard = fault_lock();
         let corpus = small_corpus(30);
         let cfg = EmbedConfig { epochs: 4, ..quick_config() };
         let (plain, plain_stats) = train(&corpus, &cfg).unwrap();
@@ -1235,7 +1242,7 @@ mod checkpoint_tests {
     /// the exact bits an uninterrupted run produces.
     #[test]
     fn resume_after_interrupted_run_is_bit_identical() {
-        let _guard = FAULT_LOCK.lock().unwrap();
+        let _guard = fault_lock();
         let corpus = small_corpus(31);
         let cfg = EmbedConfig { epochs: 6, ..quick_config() };
         let (full, full_stats) = train(&corpus, &cfg).unwrap();
@@ -1261,6 +1268,7 @@ mod checkpoint_tests {
 
     #[test]
     fn mismatched_config_refuses_resume() {
+        let _guard = fault_lock();
         let corpus = small_corpus(32);
         let cfg = EmbedConfig { epochs: 2, ..quick_config() };
         let dir = scratch("mismatch");
@@ -1275,6 +1283,7 @@ mod checkpoint_tests {
 
     #[test]
     fn fully_trained_checkpoint_resumes_to_noop() {
+        let _guard = fault_lock();
         let corpus = small_corpus(33);
         let cfg = EmbedConfig { epochs: 3, ..quick_config() };
         let dir = scratch("noop");
@@ -1290,6 +1299,7 @@ mod checkpoint_tests {
     /// Without `resume` an existing checkpoint is ignored (and replaced).
     #[test]
     fn no_resume_flag_starts_fresh() {
+        let _guard = fault_lock();
         let corpus = small_corpus(34);
         let cfg = EmbedConfig { epochs: 2, ..quick_config() };
         let dir = scratch("fresh");
@@ -1304,6 +1314,7 @@ mod checkpoint_tests {
     /// Convergence-based early stop still lands a final checkpoint.
     #[test]
     fn early_stop_writes_final_checkpoint() {
+        let _guard = fault_lock();
         let corpus = small_corpus(35);
         let cfg =
             EmbedConfig { epochs: 50, convergence_tol: Some(0.5), ..quick_config() };

@@ -3,11 +3,14 @@
 //! The streaming ingest path needs to apply edges as they arrive without
 //! paying a full CSR rebuild per batch. [`DeltaGraph`] keeps the shared
 //! base graph untouched (it stays behind an `Arc`, still served to
-//! readers) and accumulates new edges in per-vertex overflow lists.
-//! Neighbor queries merge base + delta; when the refresh worker wants a
-//! clean CSR again — to re-walk affected neighborhoods with the existing
-//! walkers — it calls [`DeltaGraph::materialize`], which folds everything
-//! through [`crate::GraphBuilder`] and can seed the next overlay.
+//! readers) and accumulates new edges in per-vertex overflow lists, each
+//! kept in target order as the CSR keeps its adjacency. Neighbor queries
+//! merge base + delta, and [`DeltaGraph::neighbor`] indexes the merged
+//! list exactly as the CSR of [`DeltaGraph::materialize`] would, so a
+//! uniform walk can step over the overlay itself (`v2v_walks`'
+//! `uniform_overlay_walk`) with no rebuild. `materialize` folds
+//! everything through [`crate::GraphBuilder`] and can seed the next
+//! overlay.
 //!
 //! The overlay also tracks *touched* vertices (endpoints of edges applied
 //! since the last [`DeltaGraph::take_touched`]), which is exactly the set
@@ -34,7 +37,8 @@ struct DeltaArc {
 pub struct DeltaGraph {
     base: Arc<Graph>,
     /// Overflow adjacency, indexed by vertex; grows past the base graph's
-    /// vertex count when an edge names a brand-new vertex.
+    /// vertex count when an edge names a brand-new vertex. Each list is in
+    /// target order, arcs to one target in application order.
     extra: Vec<Vec<DeltaArc>>,
     /// Logical delta edges in application order (undirected edges once).
     edges: Vec<crate::csr::Edge>,
@@ -87,9 +91,14 @@ impl DeltaGraph {
         if self.extra.len() < self.num_vertices {
             self.extra.resize(self.num_vertices, Vec::new());
         }
-        self.extra[u.index()].push(DeltaArc { target: v, weight, timestamp });
+        let mut insert = |from: VertexId, target: VertexId| {
+            let arcs = &mut self.extra[from.index()];
+            let at = arcs.partition_point(|a| a.target <= target);
+            arcs.insert(at, DeltaArc { target, weight, timestamp });
+        };
+        insert(u, v);
         if !self.base.is_directed() && u != v {
-            self.extra[v.index()].push(DeltaArc { target: u, weight, timestamp });
+            insert(v, u);
         }
         let (source, target) =
             if self.base.is_directed() || u <= v { (u, v) } else { (v, u) };
@@ -107,7 +116,7 @@ impl DeltaGraph {
 
     /// Calls `f` for every neighbor of `v` with `(target, weight,
     /// timestamp)` — base arcs first (in CSR order), then overlay arcs in
-    /// application order.
+    /// target order.
     pub fn for_each_neighbor(&self, v: VertexId, f: &mut dyn FnMut(VertexId, f64, Option<u64>)) {
         if v.index() < self.base.num_vertices() {
             let targets = self.base.neighbors(v);
@@ -124,6 +133,40 @@ impl DeltaGraph {
         if let Some(arcs) = self.extra.get(v.index()) {
             for a in arcs {
                 f(a.target, a.weight, a.timestamp);
+            }
+        }
+    }
+
+    /// The `i`-th neighbor of `v` (`i < degree(v)`) in the order the CSR of
+    /// [`materialize`](DeltaGraph::materialize) lists it: by target. That
+    /// CSR breaks ties between arcs to one target by timestamp, which
+    /// changes nothing here, for the arcs name the same vertex.
+    ///
+    /// # Panics
+    /// Panics if `i >= degree(v)`.
+    pub fn neighbor(&self, v: VertexId, i: usize) -> VertexId {
+        let base: &[VertexId] =
+            if v.index() < self.base.num_vertices() { self.base.neighbors(v) } else { &[] };
+        let extra = self.extra.get(v.index()).map_or(&[][..], Vec::as_slice);
+        if extra.is_empty() {
+            return base[i];
+        }
+        if base.is_empty() {
+            return extra[i].target;
+        }
+        assert!(i < base.len() + extra.len(), "neighbor {i} of {v} is out of range");
+        // Merge the two sorted lists up to position `i`.
+        let (mut b, mut e) = (0, 0);
+        loop {
+            let from_base = e == extra.len() || (b < base.len() && base[b] <= extra[e].target);
+            let next = if from_base { base[b] } else { extra[e].target };
+            if b + e == i {
+                return next;
+            }
+            if from_base {
+                b += 1;
+            } else {
+                e += 1;
             }
         }
     }
@@ -283,6 +326,22 @@ mod tests {
         let mut d2 = DeltaGraph::new(Arc::new(g));
         d2.add_edge(VertexId(3), VertexId(2), 1.0, None).unwrap();
         assert_eq!(d2.num_edges(), 5);
+    }
+
+    /// Indexing the overlay reads the CSR `materialize` builds, with a base
+    /// and new edges interleaving by target, a repeated edge and a loop.
+    #[test]
+    fn neighbor_indexes_the_materialized_adjacency() {
+        let mut d = DeltaGraph::new(path3());
+        for (u, v) in [(1, 4), (1, 0), (2, 0), (1, 4), (3, 3), (0, 5), (5, 1)] {
+            d.add_edge(VertexId(u), VertexId(v), 1.0, None).unwrap();
+        }
+        let g = d.materialize().unwrap();
+        assert_eq!(g.num_vertices(), d.num_vertices());
+        for v in g.vertices() {
+            let listed: Vec<VertexId> = (0..d.degree(v)).map(|i| d.neighbor(v, i)).collect();
+            assert_eq!(listed, g.neighbors(v), "adjacency of {v}");
+        }
     }
 
     #[test]

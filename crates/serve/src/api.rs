@@ -61,8 +61,9 @@ pub const BATCH_MAX: usize = 64;
 /// file loads) or an [`EmbeddingStore`] — typically an `mmap`ed V2VE v2
 /// container whose pages the kernel faults in on demand.
 pub enum VectorSet {
-    /// Fully materialized in RAM.
-    Owned(Embedding),
+    /// Fully materialized in RAM, shared with the streaming-ingest refresh
+    /// engine, which evolves its next rows from these.
+    Owned(Arc<Embedding>),
     /// Backed by a V2VE v2 store (mmap with lazy shard verification, or
     /// its checksummed heap-load fallback).
     Store(EmbeddingStore),
@@ -160,15 +161,16 @@ impl ServeState {
         labels: Option<Vec<Option<usize>>>,
     ) -> Result<ServeState, String> {
         let index = HnswIndex::from_embedding(&embedding, config);
-        ServeState::finish(VectorSet::Owned(embedding), index, labels, "rebuilt")
+        ServeState::finish(VectorSet::Owned(Arc::new(embedding)), index, labels, "rebuilt")
     }
 
     /// Builds serving state around an index constructed elsewhere — the
     /// streaming-ingest refresh path, where the worker patches the live
-    /// HNSW incrementally instead of rebuilding it. The state still runs
-    /// the full validation/degradation gauntlet in [`ServeState::finish`].
+    /// HNSW incrementally instead of rebuilding it, and keeps sharing the
+    /// rows with the state it publishes. The state still runs the full
+    /// validation/degradation gauntlet in [`ServeState::finish`].
     pub fn from_parts(
-        embedding: Embedding,
+        embedding: Arc<Embedding>,
         index: HnswIndex,
         labels: Option<Vec<Option<usize>>>,
     ) -> Result<ServeState, String> {
@@ -1321,6 +1323,36 @@ mod tests {
         .unwrap();
         assert_eq!(state.index_source(), "rebuilt");
         assert_eq!(rejected.get() - before, 1);
+        assert_eq!(get(&state, "/neighbors?v=0&k=3").status, 200);
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot list over its layer's cap fits no link table: the
+    /// section is refused, counted, and the index rebuilt.
+    #[test]
+    fn over_cap_snapshot_is_refused_and_rebuilt() {
+        let dir = std::env::temp_dir().join(format!("v2v_api_overcap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("overcap.v2s");
+
+        let (n, dims) = (600usize, 8usize);
+        let data: Vec<f32> =
+            (0..n * dims).map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0).collect();
+        let config = HnswConfig { brute_force_threshold: 0, ..Default::default() };
+        let fp = v2v_store::write_store(&path, dims, &data, 64, None).unwrap();
+        let built = HnswIndex::build(dims, data.clone(), config.clone());
+        let snap = crate::hnsw::overfull_snapshot(&built.snapshot(fp), 2 * config.m);
+        v2v_store::write_store(&path, dims, &data, 64, Some(&snap)).unwrap();
+
+        let rejected = v2v_obs::global_metrics().counter("serve.index.snapshot_rejected");
+        let before = rejected.get();
+        let state =
+            ServeState::from_store(EmbeddingStore::open(&path).unwrap(), config, None, true)
+                .unwrap();
+        assert_eq!(state.index_source(), "rebuilt");
+        assert!(!state.degraded());
+        assert!(rejected.get() > before);
         assert_eq!(get(&state, "/neighbors?v=0&k=3").status, 200);
 
         std::fs::remove_dir_all(&dir).unwrap();

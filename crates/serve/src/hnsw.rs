@@ -45,6 +45,22 @@
 //!   on how the heuristic's one `sort_unstable_by` resolves exact distance
 //!   ties (duplicate rows produce them), so that sort's element type,
 //!   comparator and input order are part of the snapshot-byte contract.
+//!   Each thread of a round reuses one set of scratch buffers (beam heaps,
+//!   visited marks, the fold's memo) for every vertex and list it handles.
+//! * **Flat link tables** — the lists are not a `Vec` per vertex and
+//!   layer but fixed-size blocks in two `u32` tables, hnswlib's layout:
+//!   layer 0 at a stride of `1 + 2M` words per vertex (a count, then the
+//!   slots), the few upper-layer lists back to back in a second table
+//!   reached by a per-vertex offset. A live patch copies the graph with a
+//!   `memcpy` per table, [`validate`](HnswIndex::validate) is a linear
+//!   scan, and dropping an old index frees a handful of blocks. The
+//!   tables are flat rather than chunked copy-on-write: the ~80 rows a
+//!   live refresh moves rewrite ~1 000 lists through reverse links, which
+//!   land in 88 % of 64-vertex chunks and in every 256-vertex chunk, so a
+//!   chunked table would still copy nearly all of itself. A snapshot
+//!   stores each list as its length and its ids, whatever the layout in
+//!   memory; a snapshot list over its layer's cap, which no block can
+//!   hold, is refused on load.
 //!
 //! Cosine distance is served by storing L2-normalized copies of the
 //! vectors (norms are paid once at build time), so every comparison is one
@@ -142,6 +158,9 @@ struct InsertPlan {
     per_layer: Vec<Vec<(u32, f32)>>,
 }
 
+/// What a fold writes for a list that none of its pushes changed.
+const UNCHANGED: u32 = u32::MAX;
+
 /// One reverse link of a round: `id`, at `dist`, joins `target`'s list.
 struct Push {
     target: u32,
@@ -168,13 +187,16 @@ fn draw_level(rng: &mut Rng, m: usize) -> usize {
 /// and computes pairs from the vectors; the apply phase keys by list slot
 /// and answers pairs from its memo. `skip` is the base vertex's own key,
 /// for when the beam can surface it (re-linking a vertex already in the
-/// graph): a vertex never links to itself.
+/// graph): a vertex never links to itself. The selection lands in `kept`;
+/// `discarded` is scratch.
 fn select_neighbors(
     candidates: &mut Vec<(u32, f32)>,
     skip: Option<u32>,
     m: usize,
     mut pair_dist: impl FnMut(u32, u32) -> f32,
-) -> Vec<(u32, f32)> {
+    kept: &mut Vec<(u32, f32)>,
+    discarded: &mut Vec<(u32, f32)>,
+) {
     // The graph's bytes hang on this sort. Exact distance ties occur
     // (duplicate rows; hundreds per 30 000-vector build) and an unstable
     // sort orders them by std's internals, which look at the element
@@ -183,8 +205,8 @@ fn select_neighbors(
     // as they are, or re-pin every snapshot hash in the tests.
     candidates.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
     candidates.dedup_by_key(|c| c.0);
-    let mut kept: Vec<(u32, f32)> = Vec::with_capacity(m);
-    let mut discarded: Vec<(u32, f32)> = Vec::new();
+    kept.clear();
+    discarded.clear();
     for &(c, c_dist) in candidates.iter() {
         if Some(c) == skip {
             continue;
@@ -199,8 +221,164 @@ fn select_neighbors(
         }
     }
     let room = m - kept.len();
-    kept.extend(discarded.into_iter().take(room));
-    kept
+    kept.extend(discarded.iter().take(room));
+}
+
+/// Buffers one thread reuses across the beam searches and list folds of a
+/// build or a patch, so that their allocations follow the threads rather
+/// than the rows planned and the lists folded. Nothing left in it changes
+/// a later result.
+#[derive(Default)]
+struct Scratch {
+    /// Vertex `v` is visited in the current beam when `visited[v] ==
+    /// pass`; a new beam bumps `pass` instead of clearing the marks.
+    visited: Vec<u8>,
+    pass: u8,
+    frontier: BinaryHeap<Reverse<(OrdF32, u32)>>,
+    best: BinaryHeap<(OrdF32, u32)>,
+    /// The last beam's result; a fold's list.
+    found: Vec<(u32, f32)>,
+    kept: Vec<(u32, f32)>,
+    discarded: Vec<(u32, f32)>,
+    /// A fold's members by slot, its memo and its slot bookkeeping.
+    ids: Vec<u32>,
+    memo: Vec<f32>,
+    on_list: Vec<bool>,
+    free: Vec<u32>,
+}
+
+impl Scratch {
+    /// Starts a beam over `n` vertices with none visited.
+    fn begin(&mut self, n: usize) {
+        if self.visited.len() < n {
+            self.visited = vec![0; n];
+        }
+        self.pass = self.pass.wrapping_add(1);
+        if self.pass == 0 {
+            self.visited.fill(0);
+            self.pass = 1;
+        }
+        self.frontier.clear();
+        self.best.clear();
+    }
+
+    /// Marks `v` visited; whether it was not already.
+    #[inline]
+    fn visit(&mut self, v: usize) -> bool {
+        std::mem::replace(&mut self.visited[v], self.pass) != self.pass
+    }
+}
+
+/// The proximity graph's link lists, in two flat tables of `u32` words.
+///
+/// A list is a block of `1 + cap` words: its length, then `cap` slots of
+/// which the first `length` hold neighbor ids (the rest are zero). Layer 0
+/// is one fixed-stride table, vertex `v`'s list at word `v * (1 + 2m)` —
+/// hnswlib's level-0 block. The ~`1/m` of vertices that reach above layer
+/// 0 keep their lists for layers `1..=level` back to back in a second
+/// table, `1 + m` words each, from the per-vertex offset `upper_at[v]`.
+///
+/// Copying the graph for a patch is a `memcpy` per table, and the tables
+/// stay flat rather than chunked for copy-on-write: a live patch of ~80
+/// moved rows rewrites ~1 000 lists through reverse links, and those land
+/// in 88 % of 64-vertex chunks and every 256-vertex chunk, so a chunked
+/// table would copy nearly all of itself anyway.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Links {
+    /// The upper layers' cap; layer 0 holds `2 * m`.
+    m: usize,
+    /// Top layer per vertex.
+    levels: Vec<usize>,
+    layer0: Vec<u32>,
+    upper: Vec<u32>,
+    /// Where each vertex's layer-1 list starts in `upper`: the blocks of
+    /// the vertices before it, so it only grows with `v`.
+    upper_at: Vec<usize>,
+}
+
+impl Links {
+    /// No vertices, lists capped at `m` (`2 * m` at layer 0).
+    fn new(m: usize) -> Links {
+        Links { m, ..Links::default() }
+    }
+
+    /// A copy with room for `extra` more vertices on layer 0.
+    fn copied(&self, extra: usize) -> Links {
+        let mut layer0 = Vec::with_capacity(self.layer0.len() + extra * self.stride(0));
+        layer0.extend_from_slice(&self.layer0);
+        Links {
+            m: self.m,
+            levels: self.levels.clone(),
+            layer0,
+            upper: self.upper.clone(),
+            upper_at: self.upper_at.clone(),
+        }
+    }
+
+    /// Number of vertices.
+    fn len(&self) -> usize {
+        self.levels.len()
+    }
+
+    /// Max out-degree at `layer`.
+    #[inline]
+    fn cap(&self, layer: usize) -> usize {
+        if layer == 0 {
+            self.m * 2
+        } else {
+            self.m
+        }
+    }
+
+    /// Words per list at `layer`: the length, then the slots.
+    #[inline]
+    fn stride(&self, layer: usize) -> usize {
+        1 + self.cap(layer)
+    }
+
+    /// Appends a vertex whose top layer is `level`, with empty lists.
+    fn push(&mut self, level: usize) {
+        self.upper_at.push(self.upper.len());
+        self.levels.push(level);
+        self.layer0.resize(self.layer0.len() + self.stride(0), 0);
+        self.upper.resize(self.upper.len() + level * self.stride(1), 0);
+    }
+
+    /// The table holding `v`'s list at `layer`, and where the list starts.
+    #[inline]
+    fn block(&self, v: usize, layer: usize) -> (&[u32], usize) {
+        if layer == 0 {
+            (&self.layer0, v * self.stride(0))
+        } else {
+            debug_assert!(layer <= self.levels[v], "vertex {v} has no layer {layer}");
+            (&self.upper, self.upper_at[v] + (layer - 1) * self.stride(1))
+        }
+    }
+
+    /// `v`'s neighbors at `layer`, a layer the vertex is on.
+    #[inline]
+    fn list(&self, v: usize, layer: usize) -> &[u32] {
+        let (table, at) = self.block(v, layer);
+        &table[at + 1..at + 1 + table[at] as usize]
+    }
+
+    /// Replaces `v`'s list at `layer` with `ids`.
+    ///
+    /// # Panics
+    /// Panics if `ids` is longer than the layer's cap.
+    fn set(&mut self, v: usize, layer: usize, ids: impl IntoIterator<Item = u32>) {
+        let stride = self.stride(layer);
+        let at = self.block(v, layer).1;
+        let table = if layer == 0 { &mut self.layer0 } else { &mut self.upper };
+        let block = &mut table[at..at + stride];
+        let mut len = 0;
+        for id in ids {
+            len += 1;
+            block[len] = id;
+        }
+        block[len + 1..].fill(0);
+        block[0] = len as u32;
+    }
 }
 
 /// The built index: layered proximity graph over flat `f32` vectors.
@@ -209,11 +387,8 @@ pub struct HnswIndex {
     dims: usize,
     /// Row-major vectors; L2-normalized copies under [`Metric::Cosine`].
     vectors: Vec<f32>,
-    /// `links[v][layer]` = neighbor ids of `v` at `layer` (empty in
-    /// brute-force mode).
-    links: Vec<Vec<Vec<u32>>>,
-    /// Top layer per vertex.
-    levels: Vec<usize>,
+    /// The link lists (no vertices in brute-force mode).
+    links: Links,
     /// Entry vertex (a vertex on the highest occupied layer).
     entry: usize,
     max_level: usize,
@@ -262,11 +437,10 @@ impl HnswIndex {
         }
 
         let mut index = HnswIndex {
+            links: Links::new(config.m),
             config,
             dims,
             vectors,
-            links: Vec::new(),
-            levels: Vec::new(),
             entry: 0,
             max_level: 0,
             build_time: Duration::ZERO,
@@ -306,7 +480,7 @@ impl HnswIndex {
 
     /// Whether queries run the graph (`false` = exact-scan fallback).
     pub fn is_graph(&self) -> bool {
-        !self.links.is_empty()
+        self.links.len() > 0
     }
 
     /// Wall-clock time spent in [`build`](HnswIndex::build).
@@ -328,55 +502,79 @@ impl HnswIndex {
             return Ok(());
         }
         let n = self.len();
-        if self.links.len() != n || self.levels.len() != n {
+        let links = &self.links;
+        let levels = &links.levels;
+        if links.layer0.len() != n * links.stride(0)
+            || levels.len() != n
+            || links.upper_at.len() != n
+        {
             return Err(format!(
                 "link table covers {} vertices ({} levels) but the index holds {n}",
-                self.links.len(),
-                self.levels.len()
+                links.layer0.len() / links.stride(0),
+                levels.len()
             ));
         }
         if self.entry >= n {
             return Err(format!("entry point {} out of range ({n} vertices)", self.entry));
         }
-        if self.levels[self.entry] < self.max_level {
+        if levels[self.entry] < self.max_level {
             return Err(format!(
                 "entry point {} sits on layer {} below the top layer {}",
-                self.entry, self.levels[self.entry], self.max_level
+                self.entry, levels[self.entry], self.max_level
             ));
         }
-        for (v, layers) in self.links.iter().enumerate() {
-            if layers.len() != self.levels[v] + 1 {
+        let mut upper_words = 0;
+        for (v, (&at, &level)) in links.upper_at.iter().zip(levels).enumerate() {
+            if at != upper_words {
                 return Err(format!(
-                    "vertex {v} has {} link layers but level {}",
-                    layers.len(),
-                    self.levels[v]
+                    "vertex {v} has its upper layers at word {at}, but the vertices before it end at {upper_words}"
                 ));
             }
-            for (layer, nbrs) in layers.iter().enumerate() {
-                if nbrs.len() > self.m_for(layer) {
+            upper_words += level * links.stride(1);
+        }
+        if upper_words != links.upper.len() {
+            return Err(format!(
+                "the upper link table holds {} words, but the levels call for {upper_words}",
+                links.upper.len()
+            ));
+        }
+        // One pass over each table, a list (a block of stride words) at a
+        // time: layer 0 vertex by vertex, then layers 1..=level of each
+        // vertex above it.
+        let check = |v: usize, layer: usize, block: &[u32]| -> Result<(), String> {
+            let len = block[0] as usize;
+            if len > links.cap(layer) {
+                return Err(format!(
+                    "vertex {v} has {len} links at layer {layer}, over the cap of {}",
+                    links.cap(layer)
+                ));
+            }
+            for &u in &block[1..=len] {
+                let u = u as usize;
+                if u == v {
+                    return Err(format!("vertex {v} links to itself at layer {layer}"));
+                }
+                if u >= n {
                     return Err(format!(
-                        "vertex {v} has {} links at layer {layer}, over the cap of {}",
-                        nbrs.len(),
-                        self.m_for(layer)
+                        "vertex {v} links to {u} at layer {layer}, out of range"
                     ));
                 }
-                for &u in nbrs {
-                    let u = u as usize;
-                    if u == v {
-                        return Err(format!("vertex {v} links to itself at layer {layer}"));
-                    }
-                    if u >= n {
-                        return Err(format!(
-                            "vertex {v} links to {u} at layer {layer}, out of range"
-                        ));
-                    }
-                    if self.levels[u] < layer {
-                        return Err(format!(
-                            "vertex {v} links to {u} at layer {layer}, but {u} tops out at {}",
-                            self.levels[u]
-                        ));
-                    }
+                if levels[u] < layer {
+                    return Err(format!(
+                        "vertex {v} links to {u} at layer {layer}, but {u} tops out at {}",
+                        levels[u]
+                    ));
                 }
+            }
+            Ok(())
+        };
+        for (v, block) in links.layer0.chunks_exact(links.stride(0)).enumerate() {
+            check(v, 0, block)?;
+        }
+        for (v, &level) in levels.iter().enumerate() {
+            let blocks = links.upper[links.upper_at[v]..].chunks_exact(links.stride(1));
+            for (layer, block) in (1..=level).zip(blocks) {
+                check(v, layer, block)?;
             }
         }
         Ok(())
@@ -386,8 +584,7 @@ impl HnswIndex {
     /// exact scan — the degraded-but-correct mode the server falls back
     /// to when [`validate`](HnswIndex::validate) fails.
     pub fn into_exact(mut self) -> HnswIndex {
-        self.links = Vec::new();
-        self.levels = Vec::new();
+        self.links = Links::new(self.config.m);
         self.entry = 0;
         self.max_level = 0;
         self
@@ -423,7 +620,7 @@ impl HnswIndex {
         for layer in (1..=self.max_level).rev() {
             loop {
                 let mut improved = false;
-                for &nb in &self.links[ep][layer] {
+                for &nb in self.links.list(ep, layer) {
                     let d = self.dist_to(q, nb as usize);
                     if d < ep_dist {
                         ep = nb as usize;
@@ -438,7 +635,9 @@ impl HnswIndex {
         }
 
         // Beam search at layer 0.
-        let mut found = self.search_layer(q, ep, ep_dist, 0, ef.max(k));
+        let mut scratch = Scratch::default();
+        self.search_layer(&mut scratch, q, ep, ep_dist, 0, ef.max(k));
+        let mut found = scratch.found;
         found.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
         found.truncate(k);
         found.into_iter().map(|(id, d)| (id as usize, d)).collect()
@@ -492,74 +691,68 @@ impl HnswIndex {
         self.dist(q, self.vector(i))
     }
 
-    /// Max out-degree at `layer`.
-    #[inline]
-    fn m_for(&self, layer: usize) -> usize {
-        if layer == 0 {
-            self.config.m * 2
-        } else {
-            self.config.m
-        }
-    }
-
     /// Best-first beam of width `ef` over one layer, seeded at `ep`.
-    /// Returns up to `ef` `(id, distance)` pairs, unsorted.
+    /// Leaves up to `ef` `(id, distance)` pairs, unsorted, in
+    /// `scratch.found`.
     fn search_layer(
         &self,
+        scratch: &mut Scratch,
         q: &[f32],
         ep: usize,
         ep_dist: f32,
         layer: usize,
         ef: usize,
-    ) -> Vec<(u32, f32)> {
-        let mut visited = vec![false; self.len()];
-        visited[ep] = true;
+    ) {
+        let s = scratch;
+        s.begin(self.len());
+        s.visit(ep);
         // Min-heap of frontier candidates, max-heap of current best `ef`.
-        let mut frontier = BinaryHeap::new();
-        frontier.push(Reverse((OrdF32(ep_dist), ep as u32)));
-        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
-        best.push((OrdF32(ep_dist), ep as u32));
+        s.frontier.push(Reverse((OrdF32(ep_dist), ep as u32)));
+        s.best.push((OrdF32(ep_dist), ep as u32));
 
-        while let Some(Reverse((OrdF32(c_dist), c))) = frontier.pop() {
-            let worst = best.peek().map(|&(OrdF32(d), _)| d).unwrap_or(f32::INFINITY);
-            if best.len() >= ef && c_dist > worst {
+        while let Some(Reverse((OrdF32(c_dist), c))) = s.frontier.pop() {
+            let worst = s.best.peek().map(|&(OrdF32(d), _)| d).unwrap_or(f32::INFINITY);
+            if s.best.len() >= ef && c_dist > worst {
                 break;
             }
-            for &nb in &self.links[c as usize][layer] {
-                if std::mem::replace(&mut visited[nb as usize], true) {
+            for &nb in self.links.list(c as usize, layer) {
+                if !s.visit(nb as usize) {
                     continue;
                 }
                 let d = self.dist_to(q, nb as usize);
-                let worst = best.peek().map(|&(OrdF32(w), _)| w).unwrap_or(f32::INFINITY);
-                if best.len() < ef || d < worst {
-                    frontier.push(Reverse((OrdF32(d), nb)));
-                    best.push((OrdF32(d), nb));
-                    if best.len() > ef {
-                        best.pop();
+                let worst = s.best.peek().map(|&(OrdF32(w), _)| w).unwrap_or(f32::INFINITY);
+                if s.best.len() < ef || d < worst {
+                    s.frontier.push(Reverse((OrdF32(d), nb)));
+                    s.best.push((OrdF32(d), nb));
+                    if s.best.len() > ef {
+                        s.best.pop();
                     }
                 }
             }
         }
-        best.into_iter().map(|(OrdF32(d), id)| (id, d)).collect()
+        // The heap's own order, as `into_iter` would give it: the
+        // heuristic's sort sees its input order on exact ties.
+        s.found.clear();
+        s.found.extend(s.best.drain().map(|(OrdF32(d), id)| (id, d)));
     }
 
     /// Builds the layered graph in doubling rounds (see module docs).
     fn build_graph(&mut self, n: usize, threads: usize) {
         let mut rng = Rng::seed_from_u64(self.config.seed);
-        self.levels = (0..n).map(|_| draw_level(&mut rng, self.config.m)).collect();
-        self.links = self
-            .levels
-            .iter()
-            .map(|&l| vec![Vec::new(); l + 1])
-            .collect();
+        self.links = Links::new(self.config.m);
+        for _ in 0..n {
+            self.links.push(draw_level(&mut rng, self.config.m));
+        }
 
         self.entry = 0;
-        self.max_level = self.levels[0];
+        self.max_level = self.links.levels[0];
 
         let mut inserted = 1usize;
         while inserted < n {
             let round = inserted.min(n - inserted);
-            let plans = par::map_on(threads, round, |i| self.plan_insert(inserted + i));
+            let plans = par::map_with_on(threads, round, Scratch::default, |s, i| {
+                self.plan_insert(s, inserted + i)
+            });
             self.apply_round(plans, threads);
             inserted += round;
         }
@@ -567,9 +760,9 @@ impl HnswIndex {
 
     /// Search phase of an insertion: finds the selected neighbors of `id`
     /// on every layer `0..=level` against the *current* (frozen) graph.
-    fn plan_insert(&self, id: usize) -> InsertPlan {
+    fn plan_insert(&self, scratch: &mut Scratch, id: usize) -> InsertPlan {
         let q = self.vector(id);
-        let level = self.levels[id];
+        let level = self.links.levels[id];
         let mut ep = self.entry;
         let mut ep_dist = self.dist_to(q, ep);
 
@@ -577,7 +770,7 @@ impl HnswIndex {
         for layer in ((level + 1)..=self.max_level).rev() {
             loop {
                 let mut improved = false;
-                for &nb in &self.links[ep][layer] {
+                for &nb in self.links.list(ep, layer) {
                     let d = self.dist_to(q, nb as usize);
                     if d < ep_dist {
                         ep = nb as usize;
@@ -594,12 +787,16 @@ impl HnswIndex {
         // Beam + select on each layer the vertex joins, top-down.
         let mut per_layer = vec![Vec::new(); level + 1];
         for layer in (0..=level.min(self.max_level)).rev() {
-            let mut found =
-                self.search_layer(q, ep, ep_dist, layer, self.config.ef_construction);
-            let selected =
-                select_neighbors(&mut found, Some(id as u32), self.m_for(layer), |c, s| {
-                    self.dist(self.vector(c as usize), self.vector(s as usize))
-                });
+            self.search_layer(scratch, q, ep, ep_dist, layer, self.config.ef_construction);
+            let Scratch { found, kept, discarded, .. } = &mut *scratch;
+            select_neighbors(
+                found,
+                Some(id as u32),
+                self.links.cap(layer),
+                |c, s| self.dist(self.vector(c as usize), self.vector(s as usize)),
+                kept,
+                discarded,
+            );
             // Continue descending from the best candidate found here.
             if let Some(&(best, best_dist)) =
                 found.iter().min_by(|a, b| a.1.total_cmp(&b.1))
@@ -607,7 +804,7 @@ impl HnswIndex {
                 ep = best as usize;
                 ep_dist = best_dist;
             }
-            per_layer[layer] = selected;
+            per_layer[layer] = kept.clone();
         }
         InsertPlan { id, per_layer }
     }
@@ -616,7 +813,8 @@ impl HnswIndex {
     /// the reverse links it asked for into their targets' lists, one
     /// `(target, layer)` group at a time (see module docs).
     fn apply_round(&mut self, plans: Vec<InsertPlan>, threads: usize) {
-        let mut pushes: Vec<Push> = Vec::new();
+        let mut pushes: Vec<Push> =
+            Vec::with_capacity(plans.iter().flat_map(|p| &p.per_layer).map(Vec::len).sum());
         for plan in plans {
             let id = plan.id;
             for (layer, selected) in plan.per_layer.into_iter().enumerate() {
@@ -624,14 +822,14 @@ impl HnswIndex {
                     debug_assert_ne!(nb as usize, id, "a plan never selects its own vertex");
                     // A plan row can reach beyond the neighbor's level;
                     // there is no list to push to up there.
-                    if self.links[nb as usize].len() > layer {
+                    if self.links.levels[nb as usize] >= layer {
                         pushes.push(Push { target: nb, layer: layer as u32, id: id as u32, dist });
                     }
                 }
-                self.links[id][layer] = selected.into_iter().map(|(nb, _)| nb).collect();
+                self.links.set(id, layer, selected.into_iter().map(|(nb, _)| nb));
             }
-            if self.levels[id] > self.max_level {
-                self.max_level = self.levels[id];
+            if self.links.levels[id] > self.max_level {
+                self.max_level = self.links.levels[id];
                 self.entry = id;
             }
         }
@@ -640,10 +838,24 @@ impl HnswIndex {
         pushes.sort_by_key(|p| (p.target, p.layer));
         let groups: Vec<&[Push]> =
             pushes.chunk_by(|a, b| (a.target, a.layer) == (b.target, b.layer)).collect();
-        let lists = par::map_on(threads, groups.len(), |i| self.fold_pushes(groups[i]));
-        for (group, list) in groups.iter().zip(lists) {
-            if let Some(list) = list {
-                self.links[group[0].target as usize][group[0].layer as usize] = list;
+        // Groups fold in 64 chunks, each writing its lists into one buffer,
+        // so a round allocates per chunk rather than per list.
+        let chunk = groups.len().div_ceil(64).max(1);
+        let chunks = groups.len().div_ceil(chunk);
+        let folded = par::map_with_on(threads, chunks, Scratch::default, |s, c| {
+            let mine = &groups[c * chunk..groups.len().min((c + 1) * chunk)];
+            let mut out = Vec::with_capacity(mine.len() * self.links.stride(0));
+            for group in mine {
+                self.fold_pushes(s, group, &mut out);
+            }
+            out
+        });
+        let mut words = folded.iter().flatten().copied();
+        for group in &groups {
+            let len = words.next().expect("a folded word per group");
+            if len != UNCHANGED {
+                let list = words.by_ref().take(len as usize);
+                self.links.set(group[0].target as usize, group[0].layer as usize, list);
             }
         }
     }
@@ -656,15 +868,20 @@ impl HnswIndex {
     /// its plan), and member-to-member distances are kept in `memo` while
     /// both members stay on the list. The target's list is read as the
     /// round's serial copy left it, which for a row `patched` moves in
-    /// the same round is its recomputed list. `None` when the list already
-    /// held every pushed vertex (`patched` re-linking a vertex whose
-    /// neighbors still link back).
-    fn fold_pushes(&self, pushes: &[Push]) -> Option<Vec<u32>> {
+    /// the same round is its recomputed list. The new list goes onto
+    /// `out` as its length and its ids, or as the one word [`UNCHANGED`]
+    /// when the list already held every pushed vertex (`patched`
+    /// re-linking a vertex whose neighbors still link back).
+    fn fold_pushes(&self, scratch: &mut Scratch, pushes: &[Push], out: &mut Vec<u32>) {
         let (target, layer) = (pushes[0].target as usize, pushes[0].layer as usize);
-        let cap = self.m_for(layer);
-        let old = &self.links[target][layer];
-        let first_new = pushes.iter().position(|push| !old.contains(&push.id))?;
-        let mut ids: Vec<u32> = Vec::with_capacity(cap + 1);
+        let cap = self.links.cap(layer);
+        let old = self.links.list(target, layer);
+        let Some(first_new) = pushes.iter().position(|push| !old.contains(&push.id)) else {
+            out.push(UNCHANGED);
+            return;
+        };
+        let Scratch { found: list, kept, discarded, ids, memo, on_list, free, .. } = scratch;
+        ids.clear();
         ids.extend_from_slice(old);
 
         // While the list has room a push is an append.
@@ -679,7 +896,9 @@ impl HnswIndex {
             rest = later;
         }
         if rest.is_empty() {
-            return Some(ids);
+            out.push(ids.len() as u32);
+            out.extend_from_slice(ids);
+            return;
         }
 
         // From the first overflow on, members are known by slot (`ids[slot]`
@@ -690,18 +909,20 @@ impl HnswIndex {
         // pair not computed yet (a distance that *is* NaN is just computed
         // again each time).
         let stride = cap.max(ids.len()) + 1;
-        let mut list: Vec<(u32, f32)> = Vec::with_capacity(stride);
+        list.clear();
         list.extend(
             (0u32..)
-                .zip(&ids)
+                .zip(ids.iter())
                 .map(|(slot, &id)| (slot, self.dist_to(self.vector(target), id as usize))),
         );
         // Only a later overflow reads what this one memoises: a group's
         // last push goes without.
         let memoise = rest.len() > 1;
-        let mut memo = vec![f32::NAN; if memoise { stride * stride } else { 0 }];
-        let mut on_list = vec![false; if memoise { stride } else { 0 }];
-        let mut free: Vec<u32> = Vec::new();
+        memo.clear();
+        memo.resize(if memoise { stride * stride } else { 0 }, f32::NAN);
+        on_list.clear();
+        on_list.resize(if memoise { stride } else { 0 }, false);
+        free.clear();
 
         for push in rest {
             if list.iter().any(|&(slot, _)| ids[slot as usize] == push.id) {
@@ -723,33 +944,42 @@ impl HnswIndex {
                 }
             };
             list.push((slot as u32, push.dist));
+            let ids = &*ids;
             let pair = |c: usize, s: usize| {
                 self.dist_to(self.vector(ids[c] as usize), ids[s] as usize)
             };
-            let kept = select_neighbors(&mut list, None, cap, |c, s| {
-                let (c, s) = (c as usize, s as usize);
-                if !memoise {
-                    return pair(c, s);
-                }
-                if memo[c * stride + s].is_nan() {
-                    let d = pair(c, s);
-                    memo[c * stride + s] = d;
-                    memo[s * stride + c] = d;
-                }
-                memo[c * stride + s]
-            });
+            select_neighbors(
+                list,
+                None,
+                cap,
+                |c, s| {
+                    let (c, s) = (c as usize, s as usize);
+                    if !memoise {
+                        return pair(c, s);
+                    }
+                    if memo[c * stride + s].is_nan() {
+                        let d = pair(c, s);
+                        memo[c * stride + s] = d;
+                        memo[s * stride + c] = d;
+                    }
+                    memo[c * stride + s]
+                },
+                kept,
+                discarded,
+            );
             if memoise {
-                for &(slot, _) in &kept {
+                for &(slot, _) in kept.iter() {
                     on_list[slot as usize] = true;
                 }
                 free.extend(list.iter().map(|c| c.0).filter(|&slot| !on_list[slot as usize]));
-                for &(slot, _) in &kept {
+                for &(slot, _) in kept.iter() {
                     on_list[slot as usize] = false;
                 }
             }
-            list = kept;
+            std::mem::swap(list, kept);
         }
-        Some(list.into_iter().map(|(slot, _)| ids[slot as usize]).collect())
+        out.push(list.len() as u32);
+        out.extend(list.iter().map(|&(slot, _)| ids[slot as usize]));
     }
 
     /// Incremental patch for streaming refresh: a new index over this
@@ -828,8 +1058,7 @@ impl HnswIndex {
             config: self.config.clone(),
             dims: self.dims,
             vectors,
-            links: self.links.clone(),
-            levels: self.levels.clone(),
+            links: self.links.copied(n_new - n_old),
             entry: self.entry,
             max_level: self.max_level,
             build_time: Duration::ZERO,
@@ -840,16 +1069,17 @@ impl HnswIndex {
             assert!(!seen[id], "duplicate update id {id}");
             seen[id] = true;
         }
-        let plans = par::map_on(threads, updates.len(), |i| idx.plan_insert(updates[i].0));
+        let plans = par::map_with_on(threads, updates.len(), Scratch::default, |s, i| {
+            idx.plan_insert(s, updates[i].0)
+        });
         idx.apply_round(plans, threads);
 
+        let mut scratch = Scratch::default();
         for id in n_old..n_new {
             let mut rng =
                 Rng::seed_from_u64(idx.config.seed ^ (id as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            let level = draw_level(&mut rng, idx.config.m);
-            idx.levels.push(level);
-            idx.links.push(vec![Vec::new(); level + 1]);
-            let plan = idx.plan_insert(id);
+            idx.links.push(draw_level(&mut rng, idx.config.m));
+            let plan = idx.plan_insert(&mut scratch, id);
             idx.apply_round(vec![plan], 1);
         }
         idx.build_time = start.elapsed();
@@ -907,7 +1137,9 @@ impl HnswIndex {
     /// and the caller's embedding fingerprint so [`from_snapshot`]
     /// (HnswIndex::from_snapshot) can refuse mismatched reloads.
     pub fn snapshot(&self, embedding_fingerprint: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.links.iter().flatten().flatten().count() * 4);
+        let links = &self.links;
+        let words = links.len() + links.layer0.len() + links.upper.len();
+        let mut out = Vec::with_capacity(64 + 4 * words);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.put(SNAPSHOT_VERSION);
         out.put_all(&[
@@ -919,10 +1151,13 @@ impl HnswIndex {
         if self.is_graph() {
             out.put(self.entry as u64);
             out.put(self.max_level as u32);
-            self.levels.iter().for_each(|&l| out.put(l as u32));
-            for nbrs in self.links.iter().flatten() {
-                out.put(nbrs.len() as u32);
-                out.put_all(nbrs);
+            links.levels.iter().for_each(|&l| out.put(l as u32));
+            for (v, &level) in links.levels.iter().enumerate() {
+                for layer in 0..=level {
+                    let nbrs = links.list(v, layer);
+                    out.put(nbrs.len() as u32);
+                    out.put_all(nbrs);
+                }
             }
         }
         seal(&mut out, 0);
@@ -987,11 +1222,10 @@ impl HnswIndex {
             }
         }
         let mut index = HnswIndex {
+            links: Links::new(config.m),
             config,
             dims,
             vectors,
-            links: Vec::new(),
-            levels: Vec::new(),
             entry: 0,
             max_level: 0,
             build_time: Duration::ZERO,
@@ -1000,28 +1234,50 @@ impl HnswIndex {
             index.entry = r.usize()?;
             index.max_level = r.u32()? as usize;
             let levels: Vec<usize> = r.u32s(n)?.map(|l| l as usize).collect();
-            let mut links = Vec::with_capacity(n);
-            for &level in &levels {
+            let links = &mut index.links;
+            // A vertex's tables grow as its lists are read, so a crafted
+            // level or length costs no more memory than the bytes behind it.
+            for (v, &level) in levels.iter().enumerate() {
                 if level > 64 {
                     return Err(format!("snapshot level {level} is implausibly deep"));
                 }
-                let mut layers = Vec::with_capacity(level + 1);
-                for _ in 0..=level {
+                links.push(level);
+                for layer in 0..=level {
                     let len = r.u32()? as usize;
-                    if len > n {
-                        return Err(format!("snapshot link list of {len} exceeds {n} vertices"));
+                    if len > links.cap(layer) {
+                        return Err(format!(
+                            "snapshot link list of {len} at layer {layer} is over the cap of {}",
+                            links.cap(layer)
+                        ));
                     }
-                    layers.push(r.u32s(len)?.collect::<Vec<u32>>());
+                    links.set(v, layer, r.u32s(len)?);
                 }
-                links.push(layers);
             }
-            index.levels = levels;
-            index.links = links;
         }
         r.finish().map_err(|e| format!("{e} inside snapshot body"))?;
         index.build_time = start.elapsed();
         Ok(index)
     }
+}
+
+/// `snapshot` (of a graph) with vertex 0's layer-0 list filled one id past
+/// `cap` and the section resealed: well-formed bytes that no link table
+/// can hold.
+#[cfg(test)]
+pub(crate) fn overfull_snapshot(snapshot: &[u8], cap: usize) -> Vec<u8> {
+    let body = &snapshot[..snapshot.len() - 8];
+    // magic, version, two fingerprints, then n; the graph header (flag,
+    // entry, top layer) and one level per vertex precede the lists.
+    let n = Reader::new(&body[24..]).usize().unwrap();
+    let at = 45 + 4 * n;
+    let len = Reader::new(&body[at..]).u32().unwrap() as usize;
+    let mut out = body[..at].to_vec();
+    out.put(cap as u32 + 1);
+    out.extend_from_slice(&body[at + 4..at + 4 + 4 * len]);
+    (1..=(cap + 1 - len) as u32).for_each(|id| out.put(id));
+    out.extend_from_slice(&body[at + 4 + 4 * len..]);
+    seal(&mut out, 0);
+    out
 }
 
 /// Scales to unit L2 norm in place; zero (and non-finite-norm) vectors are
@@ -1435,22 +1691,65 @@ mod tests {
     fn validate_refuses_overfull_lists_and_self_links() {
         let dims = 8;
         let data = clustered(700, dims, 5, 3);
-        let build = || HnswIndex::build(dims, data.clone(), small_config(Metric::Cosine));
-        build().validate().unwrap();
-
-        let mut overfull = build();
-        let cap = overfull.m_for(0);
-        overfull.links[3][0] = (10..10 + cap as u32 + 1).collect();
-        let err = overfull.validate().unwrap_err();
+        let built = HnswIndex::build(dims, data, small_config(Metric::Cosine));
+        built.validate().unwrap();
+        // `built` with one word of its layer-0 or upper table overwritten.
+        let corrupt = |upper: bool, word: usize, value: u32| -> String {
+            let mut links = built.links.clone();
+            let table = if upper { &mut links.upper } else { &mut links.layer0 };
+            table[word] = value;
+            let index = HnswIndex {
+                config: built.config.clone(),
+                dims,
+                vectors: built.vectors.clone(),
+                links,
+                entry: built.entry,
+                max_level: built.max_level,
+                build_time: Duration::ZERO,
+            };
+            index.validate().unwrap_err()
+        };
+        let links = &built.links;
+        let (cap, row3) = (links.cap(0), 3 * links.stride(0));
+        assert!(!links.list(3, 0).is_empty());
         assert_eq!(
-            err,
+            corrupt(false, row3, cap as u32 + 1),
             format!("vertex 3 has {} links at layer 0, over the cap of {cap}", cap + 1)
         );
+        assert_eq!(corrupt(false, row3 + 1, 3), "vertex 3 links to itself at layer 0");
+        assert_eq!(
+            corrupt(false, row3 + 1, 700),
+            "vertex 3 links to 700 at layer 0, out of range"
+        );
 
-        let mut selfish = build();
-        selfish.links[3][0][0] = 3;
-        let err = selfish.validate().unwrap_err();
-        assert_eq!(err, "vertex 3 links to itself at layer 0");
+        // An upper-layer list: over its cap, and naming a layer-0 vertex.
+        let v =
+            (0..700).find(|&v| links.levels[v] >= 1 && !links.list(v, 1).is_empty()).unwrap();
+        let low = (0..700).find(|&u| links.levels[u] == 0).unwrap();
+        let at = links.upper_at[v];
+        let cap = links.cap(1);
+        assert_eq!(
+            corrupt(true, at, cap as u32 + 1),
+            format!("vertex {v} has {} links at layer 1, over the cap of {cap}", cap + 1)
+        );
+        assert_eq!(
+            corrupt(true, at + 1, low as u32),
+            format!("vertex {v} links to {low} at layer 1, but {low} tops out at 0")
+        );
+    }
+
+    /// A list longer than its layer's cap fits no link table: the
+    /// snapshot is refused (and a store serving it rebuilds, see
+    /// `api::tests::over_cap_snapshot_is_refused_and_rebuilt`).
+    #[test]
+    fn from_snapshot_refuses_an_over_cap_list() {
+        let dims = 8;
+        let data = clustered(700, dims, 5, 3);
+        let cfg = small_config(Metric::Cosine);
+        let built = HnswIndex::build(dims, data.clone(), cfg.clone());
+        let snap = overfull_snapshot(&built.snapshot(1), built.links.cap(0));
+        let err = HnswIndex::from_snapshot(&snap, dims, data, cfg, 1).unwrap_err();
+        assert_eq!(err, "snapshot link list of 33 at layer 0 is over the cap of 32");
     }
 
     #[test]

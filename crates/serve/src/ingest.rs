@@ -9,7 +9,9 @@
 //! 1. apply the edges to a [`DeltaGraph`] overlay over the (initially
 //!    edgeless) base graph;
 //! 2. re-walk only the affected neighborhood (touched endpoints plus one
-//!    hop) with short uniform walks;
+//!    hop) with short uniform walks, stepping over the overlay itself
+//!    ([`uniform_overlay_walk`]: the walks a CSR rebuilt from it would
+//!    give, without the rebuild);
 //! 3. fine-tune just those vertex rows ([`v2v_embed::fine_tune`] with a
 //!    trainable mask — every other row is frozen bit-exact);
 //! 4. patch the live HNSW incrementally ([`HnswIndex::patched`]) instead
@@ -17,6 +19,15 @@
 //! 5. hot-swap the new [`ServeState`] through the [`ServeHandle`]'s
 //!    [`Swap`](crate::Swap) — in-flight requests finish against the state
 //!    they loaded, zero are dropped.
+//!
+//! What a refresh copies: the fine-tune's working rows (one copy of the
+//! published rows, which keep serving meanwhile), handed back as the new
+//! rows without another copy and shared, behind one [`Arc`], by the state
+//! that serves them and by the engine that evolves the next refresh from
+//! them; and the patched index, whose link tables and normalized vectors
+//! are a `memcpy` each plus the lists the patch rewrites. Nothing is
+//! rebuilt, and the patched graph is validated in one linear scan of its
+//! tables.
 //!
 //! Overload: when the committed-but-unapplied queue would exceed its
 //! bound, the request is shed with `503` + an adaptive `Retry-After`
@@ -31,7 +42,7 @@
 //! the full WAL, which is why replay is keyed by sequence number and
 //! idempotent.
 
-use crate::api::{ServeHandle, ServeState};
+use crate::api::{ServeHandle, ServeState, VectorSet};
 use crate::hnsw::HnswIndex;
 use crate::http::{retry_after_secs, Response};
 use std::collections::VecDeque;
@@ -44,8 +55,8 @@ use v2v_embed::{fine_tune, EmbedConfig, Embedding};
 use v2v_graph::{DeltaGraph, GraphBuilder, VertexId};
 use v2v_ingest::{EdgeUpdate, Wal, WalRecord};
 use v2v_obs::{json, obs_error, obs_info, record_event, Event};
-use v2v_walks::walker::Walker;
-use v2v_walks::{WalkCorpus, WalkStrategy};
+use v2v_walks::walker::uniform_overlay_walk;
+use v2v_walks::WalkCorpus;
 
 /// Tuning for the ingest path. `Default` suits tests and small graphs;
 /// the CLI exposes the queue bound.
@@ -293,10 +304,11 @@ fn parse_edges(body: &[u8], vertex_limit: u64) -> Result<Vec<EdgeUpdate>, String
 }
 
 /// Where one refresh cycle's time went, phase by phase; the boot log
-/// reports it for the WAL replay.
+/// reports it for the WAL replay, each live refresh's `quality.refresh`
+/// flight event (so `/tracez` and the SIGUSR1 dump) for itself.
 #[derive(Clone, Copy, Default)]
 struct RefreshSplit {
-    /// Overlay materialization and the affected-neighborhood walks.
+    /// The affected neighborhood and its walks.
     walks: Duration,
     fine_tune: Duration,
     /// The index patch (or the rebuild after a reload).
@@ -305,11 +317,29 @@ struct RefreshSplit {
     publish: Duration,
 }
 
+impl std::fmt::Display for RefreshSplit {
+    /// `walks a, fine-tune b, patch c, publish d` in milliseconds, to the
+    /// formatter's precision (default 1).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let p = f.precision().unwrap_or(1);
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        write!(
+            f,
+            "walks {:.p$}, fine-tune {:.p$}, patch {:.p$}, publish {:.p$}",
+            ms(self.walks),
+            ms(self.fine_tune),
+            ms(self.patch),
+            ms(self.publish)
+        )
+    }
+}
+
 /// The refresh worker's private state: the graph overlay, the full
-/// embedding it evolves, and everything needed to rebuild serving state.
+/// embedding it evolves (the rows of the state it last published, shared
+/// with that state), and everything needed to rebuild serving state.
 struct RefreshEngine {
     delta: DeltaGraph,
-    embedding: Embedding,
+    embedding: Arc<Embedding>,
     labels: Option<Vec<Option<usize>>>,
     config: IngestConfig,
     hnsw: crate::hnsw::HnswConfig,
@@ -329,17 +359,22 @@ impl RefreshEngine {
     /// only structure the refresh pipeline knows about.
     fn from_state(state: &ServeState, config: IngestConfig) -> Result<RefreshEngine, String> {
         let n = state.vectors().len();
-        let dims = state.vectors().dimensions();
-        let mut flat = Vec::with_capacity(n * dims);
-        for i in 0..n {
-            flat.extend_from_slice(state.vectors().vector(i)?);
-        }
+        let embedding = match state.vectors() {
+            VectorSet::Owned(rows) => Arc::clone(rows),
+            store => {
+                let mut flat = Vec::with_capacity(n * store.dimensions());
+                for i in 0..n {
+                    flat.extend_from_slice(store.vector(i)?);
+                }
+                Arc::new(Embedding::from_flat(store.dimensions(), flat))
+            }
+        };
         let mut builder = GraphBuilder::new_undirected();
         builder.ensure_vertices(n);
         let base = builder.build().map_err(|e| e.to_string())?;
         Ok(RefreshEngine {
             delta: DeltaGraph::new(Arc::new(base)),
-            embedding: Embedding::from_flat(dims, flat),
+            embedding,
             labels: state.labels().map(<[Option<usize>]>::to_vec),
             config,
             hnsw: state.index().config().clone(),
@@ -403,14 +438,12 @@ impl RefreshEngine {
     ) -> Result<ServeState, String> {
         let t0 = Instant::now();
         let affected = self.delta.neighborhood(touched);
-        let graph = self.delta.materialize().map_err(|e| e.to_string())?;
-        let n = graph.num_vertices();
+        let n = self.delta.num_vertices();
         let dims = self.embedding.dimensions();
         let old_len = self.embedding.len();
 
         // Short walks from the affected neighborhood only; the rest of
         // the corpus is implicit in the frozen rows.
-        let walker = Walker::new(&graph, WalkStrategy::Uniform).map_err(|e| e.to_string())?;
         let mut walks = Vec::with_capacity(affected.len() * self.config.walks_per_vertex);
         for &v in &affected {
             for t in 0..self.config.walks_per_vertex {
@@ -420,8 +453,12 @@ impl RefreshEngine {
                         ^ (v.index() as u64).wrapping_mul(0x2545_F491_4F6C_DD1D)
                         ^ t as u64,
                 );
-                let walk =
-                    walker.walk(v, self.config.walk_length, &mut Rng::seed_from_u64(seed));
+                let walk = uniform_overlay_walk(
+                    &self.delta,
+                    v,
+                    self.config.walk_length,
+                    &mut Rng::seed_from_u64(seed),
+                );
                 if walk.len() >= 2 {
                     walks.push(walk);
                 }
@@ -460,8 +497,7 @@ impl RefreshEngine {
                 .filter(|v| v.index() < old_len)
                 .map(|v| (v.index(), tuned.vector(*v).to_vec()))
                 .collect();
-            let appended = tuned.as_flat()[old_len * dims..].to_vec();
-            current_index.patched(&updates, &appended)
+            current_index.patched(&updates, &tuned.as_flat()[old_len * dims..])
         } else {
             HnswIndex::build(dims, tuned.as_flat().to_vec(), self.hnsw.clone())
         };
@@ -512,9 +548,9 @@ impl RefreshEngine {
             l.resize(n, None);
             l
         });
-        let flat = tuned.as_flat().to_vec();
-        let state = ServeState::from_parts(tuned, index, labels)?;
-        self.embedding = Embedding::from_flat(dims, flat);
+        let tuned = Arc::new(tuned);
+        let state = ServeState::from_parts(Arc::clone(&tuned), index, labels)?;
+        self.embedding = tuned;
         self.split = RefreshSplit {
             walks: walked - t0,
             fine_tune: tuned_at - walked,
@@ -551,11 +587,12 @@ impl RefreshEngine {
                 "quality.refresh",
                 "-",
                 &format!(
-                    "round {}: {} touched, {} affected, churn {}, loss delta {loss_delta:.5}",
+                    "round {}: {} touched, {} affected, churn {}, loss delta {loss_delta:.5}; ms: {}",
                     self.round,
                     touched.len(),
                     affected.len(),
-                    batch_churn.map_or_else(|| "n/a".to_string(), |c| format!("{c:.4}"))
+                    batch_churn.map_or_else(|| "n/a".to_string(), |c| format!("{c:.4}")),
+                    self.split
                 ),
             )
             .with_latency_ms(t0.elapsed().as_secs_f64() * 1e3),
@@ -589,15 +626,10 @@ pub fn start(
             Ok(None) => {}
             Err(e) => return Err(format!("wal replay failed: {e}")),
         }
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        let split = engine.split;
         obs_info!(
-            "ingest: replayed {replayed} WAL records (through seq {last_applied}) in {:.0} ms: walks {:.0}, fine-tune {:.0}, patch {:.0}, publish {:.0}",
-            ms(t0.elapsed()),
-            ms(split.walks),
-            ms(split.fine_tune),
-            ms(split.patch),
-            ms(split.publish)
+            "ingest: replayed {replayed} WAL records (through seq {last_applied}) in {:.0} ms: {:.0}",
+            t0.elapsed().as_secs_f64() * 1e3,
+            engine.split
         );
     }
     let metrics = v2v_obs::global_metrics();
@@ -1261,6 +1293,23 @@ mod tests {
 
         let r = h(&Request { method: "GET".into(), path: "/ingest".into(), ..Default::default() });
         assert_eq!(r.status, 405);
+
+        // The refresh's flight event carries its phase split.
+        let r = h(&Request { method: "GET".into(), path: "/tracez".into(), ..Default::default() });
+        let doc = json::parse(&r.body).unwrap();
+        let events = doc.get("events").unwrap().as_array().unwrap();
+        assert!(
+            events.iter().any(|e| {
+                e.get("kind").unwrap().as_str() == Some("quality.refresh")
+                    && e.get("detail").unwrap().as_str().is_some_and(|d| {
+                        ["; ms: walks ", ", fine-tune ", ", patch ", ", publish "]
+                            .iter()
+                            .all(|phase| d.contains(phase))
+                    })
+            }),
+            "no quality.refresh event with a phase split in {}",
+            r.body
+        );
 
         let r = h(&Request {
             method: "GET".into(),

@@ -4,7 +4,7 @@ use crate::alias::AliasTable;
 use crate::strategy::WalkStrategy;
 use std::fmt;
 use v2v_base::rng::Rng;
-use v2v_graph::{Graph, VertexId};
+use v2v_graph::{DeltaGraph, Graph, VertexId};
 
 /// Errors from configuring a walker.
 #[derive(Debug, PartialEq, Eq)]
@@ -206,6 +206,38 @@ impl<'g> Walker<'g> {
     }
 }
 
+/// A [`WalkStrategy::Uniform`] walk over a [`DeltaGraph`] overlay, with no
+/// CSR rebuild: step for step and draw for draw the walk
+/// `Walker::new(&delta.materialize()?, WalkStrategy::Uniform)?.walk(start,
+/// length, rng)` takes, because [`DeltaGraph::neighbor`] indexes the
+/// overlay as that CSR lists it.
+///
+/// # Panics
+/// Panics if `start` is not a vertex of the overlay.
+pub fn uniform_overlay_walk(
+    delta: &DeltaGraph,
+    start: VertexId,
+    length: usize,
+    rng: &mut Rng,
+) -> Vec<VertexId> {
+    assert!(start.index() < delta.num_vertices(), "start vertex out of range");
+    let mut walk = Vec::with_capacity(length);
+    if length == 0 {
+        return walk;
+    }
+    walk.push(start);
+    let mut cur = start;
+    while walk.len() < length {
+        let degree = delta.degree(cur);
+        if degree == 0 {
+            break;
+        }
+        cur = delta.neighbor(cur, rng.gen_range(0..degree));
+        walk.push(cur);
+    }
+    walk
+}
+
 fn build_tables(
     graph: &Graph,
     weights_of: impl Fn(&Graph, VertexId) -> Option<Vec<f64>>,
@@ -389,6 +421,41 @@ mod tests {
         let g = generators::complete(3);
         let w = Walker::new(&g, WalkStrategy::Uniform).unwrap();
         w.walk(VertexId(99), 5, &mut rng(11));
+    }
+
+    /// Overlay walks equal walks over the materialized CSR, from every
+    /// vertex, for a stream with repeated edges, loops, new vertices and
+    /// an isolated one, over an edgeless base (the refresh worker's) and
+    /// over a base with edges of its own.
+    #[test]
+    fn overlay_walks_equal_walks_over_the_materialized_graph() {
+        use std::sync::Arc;
+        let mut edgeless = GraphBuilder::new_undirected();
+        edgeless.ensure_vertices(40);
+        let bases = [edgeless.build().unwrap(), generators::gnm(40, 60, 3)];
+        for base in bases {
+            let mut delta = DeltaGraph::new(Arc::new(base));
+            let mut r = rng(12);
+            for i in 0..300u32 {
+                // Up to vertex 54: new vertices join, 55 stays isolated.
+                let u = r.gen_range(0..if i < 200 { 40 } else { 55u32 });
+                let v = if i % 17 == 0 { u } else { r.gen_range(0..55u32).min(54) };
+                delta.add_edge(VertexId(u), VertexId(v), 1.0, None).unwrap();
+                if i % 5 == 0 {
+                    delta.add_edge(VertexId(u), VertexId(v), 1.0, None).unwrap();
+                }
+            }
+            delta.add_edge(VertexId(56), VertexId(56), 1.0, None).unwrap();
+            let g = delta.materialize().unwrap();
+            let w = Walker::new(&g, WalkStrategy::Uniform).unwrap();
+            for v in g.vertices() {
+                for seed in 0..3 {
+                    let want = w.walk(v, 25, &mut rng(seed));
+                    let got = uniform_overlay_walk(&delta, v, 25, &mut rng(seed));
+                    assert_eq!(got, want, "walk from {v}, seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

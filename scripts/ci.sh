@@ -60,6 +60,13 @@ if grep -rn 'format!("serve\.' crates/serve/src \
   echo "a per-request metric name, path heuristic or handler wrapper is back (see above)" >&2
   exit 1
 fi
+# One link layout: the HNSW graph lives in two flat `u32` tables (layer 0 at
+# a fixed stride, upper layers by a per-vertex offset), so a patch copies it
+# with a memcpy per table. A `Vec` per vertex and layer may not come back.
+if grep -n 'Vec<Vec<Vec<u32>>>' crates/serve/src/hnsw.rs; then
+  echo "a nested per-list link layout is back in hnsw.rs (see above); links live in the flat tables" >&2
+  exit 1
+fi
 
 # --- Server smoke test -----------------------------------------------------
 # Boot `v2v serve` on an ephemeral port against a tiny embedding, hit the
